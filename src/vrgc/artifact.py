@@ -15,30 +15,13 @@ from .engine import ApplicationRecord, ExtractionResult
 from .enumeration import ExtractConfig
 from .graphs import DiGraph
 from .mdl import BitAccount
-from .rules import RuleLibrary, rule_from_code
+from .rules import RuleError, RuleLibrary
 
 SCHEMA_VERSION = 1
 
 
 class ArtifactInvalid(Exception):
     pass
-
-
-def library_from_codes(
-    codes: list[bytes], frequency: list[int], discovery: list[int]
-) -> RuleLibrary:
-    library = RuleLibrary()
-    for code in codes:
-        rule_from_code(code)  # validates
-        rid = len(library.rules)
-        library.index[code] = rid
-        library.codes.append(code)
-        library.rules.append(rule_from_code(code))
-        library.discovery.append(0)
-        library.frequency.append(0)
-    library.frequency[:] = list(frequency)
-    library.discovery[:] = list(discovery)
-    return library
 
 
 def result_to_obj(result: ExtractionResult, manifest: dict | None = None) -> dict:
@@ -105,7 +88,7 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
             mdl_stop=cfg["mdl_stop"],
         )
         gram = obj["grammar"]
-        library = library_from_codes(
+        library = RuleLibrary.from_codes(
             [bytes.fromhex(c) for c in gram["codes"]],
             gram["frequency"],
             gram["discovery"],
@@ -153,7 +136,7 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
         return result, obj.get("manifest", {})
     except ArtifactInvalid:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, RuleError, TypeError, ValueError) as exc:
         raise ArtifactInvalid(f"malformed artifact: {exc}") from exc
 
 

@@ -1,15 +1,18 @@
 """Greedy grammar extraction and the exact decoder.
 
-Each iteration scores every known rule by its predicted nodes-per-bit
-ratio, extracts one cheapest occurrence of the winner (edge edits first,
-then collapse to the smallest member id), and incrementally refreshes the
-occurrence index around the nodes the extraction disturbed.  The records
-written along the way replay in reverse to reproduce the input bit for
-bit.
+Each iteration picks the rule with the highest predicted nodes-per-bit
+ratio, extracts one cheapest occurrence of it (edge edits first, then
+collapse to the smallest member id), and incrementally refreshes the
+occurrence index around the nodes the extraction disturbed.  Selection is
+incremental as well: only the rule codes whose occurrences changed since
+the previous iteration are rescored, and the best score is read from a
+lazily invalidated heap.  The records written along the way replay in
+reverse to reproduce the input bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,12 +99,33 @@ class Choice:
     cost: int
 
 
-def _cost_table(levels: dict[int, set[tuple[int, ...]]]) -> list[CostLevel]:
-    table = []
-    for c in sorted(levels):
-        sets = levels[c]
-        table.append(CostLevel(c, len(sets), sum(len(t) for t in sets)))
-    return table
+def _cost_table(levels: dict[int, set[tuple[int, ...]]], k: int) -> list[CostLevel]:
+    return [CostLevel(c, len(levels[c]), len(levels[c]) * k) for c in sorted(levels)]
+
+
+class _Key:
+    """Selection order of one rule code: the higher predicted nodes-per-bit
+    first, then the cheaper occurrence, the smaller fragment and the older
+    rule id.  Values compare exactly by cross-multiplying numerators and
+    (positive) denominators; rule ids are unique, so no two keys tie."""
+
+    __slots__ = ("value", "num", "den", "cost", "k", "rid", "code")
+
+    def __init__(self, value: Fraction, cost: int, k: int, rid: int, code: bytes):
+        self.value = value
+        self.num = value.numerator
+        self.den = value.denominator
+        self.cost = cost
+        self.k = k
+        self.rid = rid
+        self.code = code
+
+    def __lt__(self, other: "_Key") -> bool:
+        mine = self.num * other.den
+        theirs = other.num * self.den
+        if mine != theirs:
+            return mine > theirs
+        return (self.cost, self.k, self.rid) < (other.cost, other.k, other.rid)
 
 
 def select_best(
@@ -109,27 +133,45 @@ def select_best(
 ) -> Optional[Choice]:
     """Highest predicted nodes-per-bit rule plus one cheapest occurrence.
 
+    Only the codes in ``state.dirty`` are rescored; every other code keeps
+    the key stored at its last scoring.  Each new key is pushed onto
+    ``state.heap``, and an entry that is no longer its code's stored key is
+    dropped when it reaches the top.  The heap is rebuilt from the stored
+    keys once stale entries outnumber live ones two to one.  The returned
+    code is marked dirty, because extracting it defines its rule and so
+    changes its score.  ``state`` must be scored against one ``library``
+    and ``n0`` throughout.
+
     Ties break toward the cheaper occurrence, then the smaller fragment,
     then the older rule id, then the lexicographically smallest node set.
     """
-    best: Optional[tuple] = None
-    for code, levels in state.tables.items():
+    keys, heap = state.keys, state.heap
+    for code in state.dirty:
+        levels = state.tables.get(code)
+        if levels is None:
+            keys.pop(code, None)
+            continue
         rid = library.index[code]
         k = code[0]
         params = default_params(k, n0, library.frequency[rid] > 0)
-        table = _cost_table(levels)
+        table = _cost_table(levels, k)
         value, _ = pcr(table, params)
-        min_cost = table[0].c
-        key = (-value, min_cost, k, rid)
-        if best is None or key < best[0]:
-            occurrence = min(levels[min_cost])
-            best = (key, Choice(rid, code, value, occurrence, (0, 0), min_cost))
-    if best is None:
+        key = keys[code] = _Key(value, table[0].c, k, rid, code)
+        heapq.heappush(heap, key)
+    state.dirty.clear()
+    if len(heap) > 3 * len(keys):
+        heap[:] = keys.values()
+        heapq.heapify(heap)
+    while heap and keys.get(heap[0].code) is not heap[0]:
+        heapq.heappop(heap)
+    if not heap:
         return None
-    choice = best[1]
-    entry = state.entries[choice.nodes]
-    pair = entry.pairs[entry.codes.index(choice.code)]
-    return Choice(choice.rule_id, choice.code, choice.value, choice.nodes, pair, choice.cost)
+    best = heap[0]
+    state.dirty.add(best.code)
+    nodes = min(state.tables[best.code][best.cost])
+    entry = state.entries[nodes]
+    pair = entry.pairs[entry.codes.index(best.code)]
+    return Choice(best.rid, best.code, best.value, nodes, pair, best.cost)
 
 
 def extract_one(graph: DiGraph, choice: Choice, library: RuleLibrary) -> ApplicationRecord:
@@ -167,15 +209,6 @@ def extract_one(graph: DiGraph, choice: Choice, library: RuleLibrary) -> Applica
     )
 
 
-def _mdl_worthwhile(value: Fraction, graph: DiGraph) -> bool:
-    """Extraction pays off while its bits per removed node stay below the
-    residual encoding's bits per node."""
-    n, m = graph.num_nodes(), graph.num_edges()
-    if n == 0:
-        return False
-    return value >= Fraction(n, b_graph(n, m))
-
-
 def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
     started = time.perf_counter()
     g = graph.copy()
@@ -189,27 +222,36 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
     for _ in enumerate_connected_sets(g, config, cost_probe=probe):
         pass
     records: list[ApplicationRecord] = []
-    rule_stats: dict[int, dict] = {}
+    # With ``mdl_stop``, bits[p] is the whole encoding's size after the
+    # first p records: rules used, applications and the residual.
+    bits = [b_graph(n0, original_edges)]
+    written = 0
     while True:
         choice = select_best(state, library, n0)
         if choice is None:
             break
-        if config.mdl_stop and not _mdl_worthwhile(choice.value, g):
-            break
         record = extract_one(g, choice, library)
+        if config.mdl_stop:
+            k = choice.code[0]
+            same = bool(records) and records[-1].rule_id == choice.rule_id
+            written += b_application(k, len(record.edits), n0, same_rule_as_previous=same)
+            if library.frequency[choice.rule_id] == 0:
+                written += b_rule(k, n0)
+            bits.append(written + b_graph(g.num_nodes(), g.num_edges()))
         library.record_extraction(choice.rule_id)
         records.append(record)
-        stats = rule_stats.setdefault(
-            choice.rule_id, {"frequency": 0, "cost_histogram": {}, "edges_edited": 0}
-        )
-        stats["frequency"] += 1
-        hist = stats["cost_histogram"]
-        hist[choice.cost] = hist.get(choice.cost, 0) + 1
-        stats["edges_edited"] += len(record.edits)
         affected = affected_nodes(g, record)
         affected |= record.boundary
         affected |= set(record.freed_ids)
         update_after_extraction(state, g, affected, config, library)
+    if config.mdl_stop:
+        # Keep the shortest prefix with the fewest bits; undo the rest.
+        keep = bits.index(min(bits))
+        if keep < len(records):
+            g = replay(g, records[keep:], library)
+            for record in records[keep:]:
+                library.frequency[record.rule_id] -= 1
+            del records[keep:]
     account = BitAccount(
         original_bits=b_graph(n0, original_edges),
         rule_bits=sum(
@@ -225,11 +267,26 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
         records=records,
         residual=g,
         account=account,
-        rule_stats=rule_stats,
+        rule_stats=_rule_stats(records),
         config=config,
         iterations=len(records),
         runtime_seconds=time.perf_counter() - started,
     )
+
+
+def _rule_stats(records: list[ApplicationRecord]) -> dict[int, dict]:
+    """Per used rule: extractions, their edit-cost histogram and edges
+    edited.  An occurrence's cost is the number of edits it needed."""
+    rule_stats: dict[int, dict] = {}
+    for record in records:
+        stats = rule_stats.setdefault(
+            record.rule_id, {"frequency": 0, "cost_histogram": {}, "edges_edited": 0}
+        )
+        cost = len(record.edits)
+        stats["frequency"] += 1
+        stats["cost_histogram"][cost] = stats["cost_histogram"].get(cost, 0) + 1
+        stats["edges_edited"] += cost
+    return rule_stats
 
 
 def realized_application_bits(

@@ -137,12 +137,18 @@ class EnumState:
 
     ``tables[code][cost]`` holds the node sets matching that rule at that
     cost; the cheapest registered cost is tracked for the shortcut bound.
+    ``dirty`` collects the codes whose tables changed since rule selection
+    last read them; ``keys`` and ``heap`` hold the selection's scores and
+    belong to ``engine.select_best``.
     """
 
     def __init__(self):
         self.entries: dict[tuple[int, ...], SetEntry] = {}
         self.tables: dict[bytes, dict[int, set[tuple[int, ...]]]] = {}
         self._cost_counts: dict[int, int] = {}
+        self.dirty: set[bytes] = set()
+        self.keys: dict = {}
+        self.heap: list = []
 
     def c_best(self) -> float:
         return min(self._cost_counts) if self._cost_counts else INFINITE_COST
@@ -177,6 +183,7 @@ class EnumState:
         self._cost_counts[entry.cost] = self._cost_counts.get(entry.cost, 0) + 1
         for code in entry.codes:
             self.tables.setdefault(code, {}).setdefault(entry.cost, set()).add(nodes)
+        self.dirty.update(entry.codes)
         return entry.cost
 
     def remove_set(self, nodes: tuple[int, ...]) -> None:
@@ -195,6 +202,7 @@ class EnumState:
                 del levels[entry.cost]
             if not levels:
                 del self.tables[code]
+        self.dirty.update(entry.codes)
 
     def remove_touching(self, nodes: set[int]) -> None:
         doomed = [t for t in self.entries if nodes.intersection(t)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import DiGraph, EdgeEdit, EditKind
 from .rules import Rule, from_node_set
@@ -168,8 +169,7 @@ def best_candidates(graph: DiGraph, nodes: set[int] | tuple[int, ...]) -> list[C
 # -- extraction-count prediction -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostLevel:
+class CostLevel(NamedTuple):
     c: int  # edit cost at this level
     x: int  # occurrences at this cost
     n: int  # total nodes covered by them
@@ -216,22 +216,20 @@ def pcr(table: list[CostLevel], params: BitParams) -> tuple[Fraction, int]:
     """Best nodes-per-bit ratio over whole-level prefixes.
 
     Equal to the exhaustive maximum over every extraction count n; ties go
-    to the smallest prefix.  Returned exactly as a rational.
+    to the smallest prefix.  Prefixes compare by cross-multiplication (bit
+    counts are positive); the winner is returned exactly as a rational.
     """
     if not table:
         raise NOutOfRange("empty cost table")
-    best = None
-    best_j = 0
+    best_nodes, best_bits, best_j = 0, 1, -1
     nodes = 0
     bits = params.C_R + params.C_ID
     for j, lv in enumerate(table):
         nodes += lv.n
         bits += lv.x * (params.C_node + lv.c * params.C_edit)
-        value = Fraction(nodes, bits)
-        if best is None or value > best:
-            best = value
-            best_j = j
-    return best, best_j
+        if best_j < 0 or nodes * best_bits > best_nodes * bits:
+            best_nodes, best_bits, best_j = nodes, bits, j
+    return Fraction(best_nodes, best_bits), best_j
 
 
 # -- bit accounting --------------------------------------------------------
@@ -258,6 +256,7 @@ def b_application(k: int, m: int, n0: int, same_rule_as_previous: bool) -> int:
     return bits
 
 
+@lru_cache(maxsize=256)
 def default_params(k: int, n0: int, rule_already_defined: bool) -> BitParams:
     """Prediction parameters aligned with the realized application encoding:
     the 2-bit per-application opcode is folded into the per-node cost."""

@@ -248,6 +248,25 @@ class RuleLibrary:
         self.discovery[rid] += 1
         return rid, False
 
+    @classmethod
+    def from_codes(
+        cls, codes: list[bytes], frequency: list[int], discovery: list[int]
+    ) -> "RuleLibrary":
+        """Rebuild a stored library; rule ids follow the order of ``codes``.
+
+        Raises ``ValueError`` on a repeated code, which would otherwise
+        shift every later rule id, or on counts that do not match the codes.
+        """
+        if not len(codes) == len(frequency) == len(discovery):
+            raise ValueError("codes, frequency and discovery differ in length")
+        library = cls()
+        for code in codes:
+            if not library.intern_code(code)[1]:
+                raise ValueError(f"rule code {code.hex()} appears twice")
+        library.frequency[:] = frequency
+        library.discovery[:] = discovery
+        return library
+
     def record_extraction(self, rid: int) -> None:
         self.frequency[rid] += 1
 

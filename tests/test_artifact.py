@@ -61,3 +61,26 @@ def test_load_rejects_missing_fields(tmp_path, demo6):
     path.write_text(json.dumps(obj))
     with pytest.raises(ArtifactInvalid):
         load_artifact(path)
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "count_mismatch", "empty_code", "disconnected"])
+def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
+    """A repeated code would shift every later rule id; counts that do not
+    line up with the codes would attach to the wrong rules; a truncated or
+    disconnected code is no rule."""
+    obj = result_to_obj(extract(demo6, ExtractConfig(k_min=2, k_max=3)))
+    gram = obj["grammar"]
+    if fault == "duplicate":
+        gram["codes"].insert(0, gram["codes"][-1])
+        gram["frequency"].insert(0, 0)
+        gram["discovery"].insert(0, 1)
+    elif fault == "count_mismatch":
+        gram["frequency"].append(0)
+    elif fault == "empty_code":
+        gram["codes"][0] = ""
+    else:
+        gram["codes"][0] = "02000000"
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ArtifactInvalid):
+        load_artifact(path)

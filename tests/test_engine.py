@@ -1,10 +1,16 @@
 import json
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vrgc
 from conftest import random_digraph
 from vrgc.artifact import result_to_obj
 from vrgc.engine import (
@@ -20,7 +26,7 @@ from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
 from vrgc.mdl import b_graph, b_rule
 from vrgc.rules import RuleLibrary
-from vrgc.synth import gen_binary_tree
+from vrgc.synth import gen_binary_tree, gen_er
 
 
 def first_choice(graph, cfg):
@@ -140,6 +146,67 @@ def test_mdl_stop_shrinks_record_count():
     stopped = extract(g, ExtractConfig(k_min=2, k_max=3, shortcut_s=1, mdl_stop=True))
     assert stopped.iterations <= full.iterations
     assert decode(stopped) == g
+
+
+def prefix_bits(full, n0):
+    """The whole encoding's size after each prefix of ``full.records``."""
+    lib = full.grammar
+    residuals = [full.residual]
+    for record in reversed(full.records):
+        residuals.append(replay(residuals[-1], [record], lib))
+    residuals.reverse()
+    out = []
+    for p, residual in enumerate(residuals):
+        records = full.records[:p]
+        used = {r.rule_id for r in records}
+        out.append(
+            sum(b_rule(lib.rules[rid].k, n0) for rid in used)
+            + realized_application_bits(records, lib, n0)
+            + b_graph(residual.num_nodes(), residual.num_edges())
+        )
+    return out
+
+
+@pytest.mark.parametrize("graph", [gen_er(200, 600, 1), gen_binary_tree(127)])
+def test_mdl_stop_keeps_cheapest_prefix(graph):
+    """``mdl_stop`` keeps the shortest prefix of the full extraction with
+    the fewest bits, so the grammar never costs more than the plain
+    encoding, and a rule whose first use does not yet pay still can."""
+    full = extract(graph, ExtractConfig(k_min=2, k_max=3, shortcut_s=1))
+    stopped = extract(graph, ExtractConfig(k_min=2, k_max=3, shortcut_s=1, mdl_stop=True))
+    assert stopped.account.compressed_bits <= stopped.account.original_bits
+    assert decode(stopped) == graph
+    count = stopped.iterations
+    assert stopped.records == full.records[:count]
+    running = prefix_bits(full, graph.n0)
+    assert stopped.account.compressed_bits == min(running) == running[count]
+    assert min(running[:count], default=math.inf) > running[count]
+    assert sum(stopped.grammar.frequency) == count
+    assert sum(st["frequency"] for st in stopped.rule_stats.values()) == count
+
+
+def test_extraction_independent_of_hash_seed():
+    """The dirty-code set iterates in hash order; the output must not."""
+    script = (
+        "import json\n"
+        "from vrgc.artifact import result_to_obj\n"
+        "from vrgc.engine import extract\n"
+        "from vrgc.enumeration import ExtractConfig\n"
+        "from vrgc.synth import gen_er\n"
+        "obj = result_to_obj(extract(gen_er(40, 100, 3), ExtractConfig(k_min=2, k_max=4)))\n"
+        "del obj['runtime_seconds']\n"
+        "print(json.dumps(obj, sort_keys=True))\n"
+    )
+    src = str(Path(vrgc.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["iterations"] > 0
 
 
 def test_rule_stats(demo6):
