@@ -33,12 +33,12 @@ from .mdl import (
     b_application,
     b_graph,
     b_rule,
+    boundary_edits,
     boundary_patterns,
     default_params,
-    edit_cost,
     pcr,
 )
-from .rules import RuleLibrary, apply_rule, canonical_form, from_node_set, rule_from_code
+from .rules import RuleLibrary, apply_rule, canonical_form, fragment_adj, rule_from_code
 
 
 class StaleCandidate(Exception):
@@ -186,13 +186,12 @@ def extract_one(graph: DiGraph, choice: Choice, library: RuleLibrary) -> Applica
     for w, pat in out_pats:
         counts[w] = counts.get(w, 0) + pat.bit_count()
     multi = frozenset(v for v, c in counts.items() if c >= 2)
-    cost, edits = edit_cost(graph, nodes, i_mask, o_mask)
-    if cost != choice.cost:
+    edits = boundary_edits(nodes, in_pats, out_pats, i_mask, o_mask)
+    if len(edits) != choice.cost:
         raise StaleCandidate(
-            f"occurrence {nodes} scored {choice.cost} but costs {cost} now"
+            f"occurrence {nodes} scored {choice.cost} but costs {len(edits)} now"
         )
-    rule = from_node_set(graph, nodes, i_mask, o_mask)
-    _, perm = canonical_form(rule)
+    _, perm = canonical_form(len(nodes), fragment_adj(graph, nodes), i_mask, o_mask)
     node_ids = tuple(nodes[old] for old in perm)
     set_pos = {v: p for p, v in enumerate(nodes)}
     canon_pos = {old: new for new, old in enumerate(perm)}

@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional
 
 from .graphs import DiGraph
 from .mdl import analyze_set
-from .rules import K_HARD_MAX, Rule, RuleLibrary, canonical_code
+from .rules import K_HARD_MAX, RuleLibrary, canonical_code, fragment_adj
 
 INFINITE_COST = math.inf
 
@@ -159,22 +159,23 @@ class EnumState:
     def register(self, graph: DiGraph, nodes: tuple[int, ...], library: RuleLibrary) -> int:
         """Score a node set, intern its minimum-cost rules, index it.
 
-        Idempotent per set (re-registration replaces the old entry).
+        The fragment adjacency is built once per set, and each minimum-cost
+        mask pair is looked up by its raw ``(k, adj, i_mask, o_mask)``
+        fields; ``rules.canonical_form`` caches under that key and validates
+        a fragment only on its first miss.  The only memo tables consulted
+        here are the ``lru_cache``s of ``rules.canonical_form`` and
+        ``mdl._side_minima``, so clearing both (as the benchmark does before
+        each round) starts registration cold.  Idempotent per set
+        (re-registration replaces the old entry).
         """
         if nodes in self.entries:
             self.remove_set(nodes)
         analysis = analyze_set(graph, nodes)
-        pos = {v: p for p, v in enumerate(nodes)}
-        adj = [0] * len(nodes)
-        for v in nodes:
-            for w in graph.out_adj[v]:
-                if w in pos:
-                    adj[pos[v]] |= 1 << pos[w]
-        adj_t = tuple(adj)
+        k = len(nodes)
+        adj = fragment_adj(graph, nodes)
         seen: dict[bytes, tuple[int, int]] = {}
         for i_mask, o_mask in analysis.mask_pairs():
-            rule = Rule(len(nodes), adj_t, i_mask, o_mask)
-            code = canonical_code(rule)
+            code = canonical_code(k, adj, i_mask, o_mask)
             if code not in seen:
                 seen[code] = (i_mask, o_mask)
                 library.intern_code(code)

@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .graphs import DiGraph, EdgeEdit, EditKind
-from .rules import Rule, from_node_set
 
 
 class NOutOfRange(Exception):
@@ -41,36 +40,38 @@ def boundary_patterns(
     Returns ``(in_pats, out_pats)``; ``in_pats`` holds ``(external, mask)``
     where bit ``p`` of ``mask`` means the external points at ``nodes[p]``.
     """
-    pos = {v: p for p, v in enumerate(nodes)}
-    member = set(nodes)
     in_pats: dict[int, int] = {}
     out_pats: dict[int, int] = {}
-    for v in nodes:
-        p = pos[v]
+    for p, v in enumerate(nodes):
+        bit = 1 << p
         for u in graph.in_adj[v]:
-            if u not in member:
-                in_pats[u] = in_pats.get(u, 0) | 1 << p
+            in_pats[u] = in_pats.get(u, 0) | bit
         for w in graph.out_adj[v]:
-            if w not in member:
-                out_pats[w] = out_pats.get(w, 0) | 1 << p
+            out_pats[w] = out_pats.get(w, 0) | bit
+    for v in nodes:
+        in_pats.pop(v, None)
+        out_pats.pop(v, None)
     return sorted(in_pats.items()), sorted(out_pats.items())
-
-
-def _external_cost(pattern: int, mask: int) -> int:
-    """Cheapest repair for one external: rewire to the mask or detach."""
-    return min((pattern ^ mask).bit_count(), pattern.bit_count())
 
 
 @lru_cache(maxsize=1 << 18)
 def _side_minima(patterns: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...]]:
     """Minimum cost over all masks for one boundary side, with every
-    minimizing mask.  ``patterns`` is the multiset of external bitmasks."""
+    minimizing mask.  ``patterns`` is the multiset of external bitmasks.
+
+    Each external costs the cheaper of its two repairs: rewiring it to the
+    mask (the bits that differ) or detaching it (the bits it has).
+    """
     if not patterns:
         return 0, tuple(range(1 << k))
+    costed = list(zip(patterns, [p.bit_count() for p in patterns]))
     best = None
     argmin: list[int] = []
     for mask in range(1 << k):
-        c = sum(_external_cost(p, mask) for p in patterns)
+        c = 0
+        for p, detach in costed:
+            rewire = (p ^ mask).bit_count()
+            c += rewire if rewire < detach else detach
         if best is None or c < best:
             best = c
             argmin = [mask]
@@ -80,19 +81,22 @@ def _side_minima(patterns: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...
 
 
 def side_minima(patterns: list[tuple[int, int]], k: int) -> tuple[int, tuple[int, ...]]:
-    return _side_minima(tuple(sorted(m for _, m in patterns)), k)
+    return _side_minima(tuple(sorted([m for _, m in patterns])), k)
 
 
-def edit_cost(
-    graph: DiGraph, nodes: tuple[int, ...], i_mask: int, o_mask: int
-) -> tuple[int, list[EdgeEdit]]:
-    """Edit count and explicit edit list for one mask pair.
+def boundary_edits(
+    nodes: tuple[int, ...],
+    in_pats: list[tuple[int, int]],
+    out_pats: list[tuple[int, int]],
+    i_mask: int,
+    o_mask: int,
+) -> list[EdgeEdit]:
+    """Edge toggles that make ``nodes``, with the given boundary patterns,
+    an exact occurrence of the mask pair.
 
     Edits are listed externals-sorted, deletions before additions per
-    external, and are exactly the edges toggled to make the set a cost-0
-    occurrence of the mask-defined rule.
+    external.
     """
-    in_pats, out_pats = boundary_patterns(graph, nodes)
     edits: list[EdgeEdit] = []
 
     def repair(pattern: int, mask: int, external: int, incoming: bool) -> None:
@@ -117,6 +121,17 @@ def edit_cost(
         repair(pat, i_mask, u, incoming=True)
     for w, pat in out_pats:
         repair(pat, o_mask, w, incoming=False)
+    return edits
+
+
+def edit_cost(
+    graph: DiGraph, nodes: tuple[int, ...], i_mask: int, o_mask: int
+) -> tuple[int, list[EdgeEdit]]:
+    """Edit count and explicit edit list for one mask pair: exactly the
+    edges toggled to make the set a cost-0 occurrence of the mask-defined
+    rule (see ``boundary_edits``)."""
+    in_pats, out_pats = boundary_patterns(graph, nodes)
+    edits = boundary_edits(nodes, in_pats, out_pats, i_mask, o_mask)
     return len(edits), edits
 
 
@@ -141,29 +156,6 @@ def analyze_set(graph: DiGraph, nodes: tuple[int, ...]) -> MaskAnalysis:
     ic, iopts = side_minima(in_pats, k)
     oc, oopts = side_minima(out_pats, k)
     return MaskAnalysis(nodes, ic + oc, iopts, oopts)
-
-
-@dataclass
-class CandidateOccurrence:
-    """A node set, one minimum-cost rule it matches, and the exact edits."""
-
-    nodes: tuple[int, ...]
-    rule: Rule
-    cost: int
-    edits: list[EdgeEdit]
-
-
-def best_candidates(graph: DiGraph, nodes: set[int] | tuple[int, ...]) -> list[CandidateOccurrence]:
-    """All minimum-cost candidates for a node set (ties all kept)."""
-    ordered = tuple(sorted(nodes))
-    analysis = analyze_set(graph, ordered)
-    out = []
-    for i_mask, o_mask in analysis.mask_pairs():
-        cost, edits = edit_cost(graph, ordered, i_mask, o_mask)
-        assert cost == analysis.cost
-        rule = from_node_set(graph, ordered, i_mask, o_mask)
-        out.append(CandidateOccurrence(ordered, rule, cost, edits))
-    return out
 
 
 # -- extraction-count prediction -------------------------------------------

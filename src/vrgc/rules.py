@@ -5,6 +5,14 @@ indicator masks: ``i_mask`` marks fragment nodes that inherit all of the
 replaced node's incoming boundary edges, ``o_mask`` the outgoing side.
 Fragments and masks are stored as integer bitmasks over fragment positions
 ``0..k-1`` (bit ``j`` of ``adj[i]`` is the edge ``i -> j``).
+
+Canonical codes are computed on these raw fields, ``(k, adj, i_mask,
+o_mask)``, and memoized in ``canonical_form``'s ``lru_cache`` under that
+tuple.  A fragment is validated, by building its ``Rule``, the first time
+its fields miss the cache, so every distinct fragment is checked once and a
+repeated lookup allocates nothing.  That cache is the only memo of
+canonicalization: ``canonical_form.cache_clear()``, which the benchmark
+calls before each round, starts it cold.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ class Rule:
             raise RuleError(f"fragment size {self.k} out of range 1..{K_HARD_MAX}")
         if len(self.adj) != self.k:
             raise RuleError("adjacency row count must equal k")
+        if (self.i_mask | self.o_mask) >> self.k:
+            raise RuleError("mask bits outside fragment")
         for i, row in enumerate(self.adj):
             if row >> self.k:
                 raise RuleError("adjacency bits outside fragment")
@@ -56,17 +66,18 @@ class Rule:
 
     def _weakly_connected(self) -> bool:
         und = list(self.adj)
-        for i in range(self.k):
-            for j in range(self.k):
-                if self.adj[i] >> j & 1:
-                    und[j] |= 1 << i
-        seen = 1
-        frontier = 1
+        for i, row in enumerate(self.adj):
+            while row:
+                low = row & -row
+                und[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        seen = frontier = 1
         while frontier:
             nxt = 0
-            for i in range(self.k):
-                if frontier >> i & 1:
-                    nxt |= und[i]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= und[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & ~seen
             seen |= nxt
         return seen == (1 << self.k) - 1
@@ -82,33 +93,49 @@ class Rule:
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.adj)
 
-    def degrees(self, v: int) -> tuple[int, int]:
-        out = self.adj[v].bit_count()
-        inn = sum(self.adj[u] >> v & 1 for u in range(self.k))
-        return out, inn
+
+def fragment_adj(graph: DiGraph, nodes: tuple[int, ...]) -> tuple[int, ...]:
+    """Adjacency rows of the subgraph induced by ``nodes``, over their
+    positions in the given order."""
+    pos = {v: i for i, v in enumerate(nodes)}
+    adj = []
+    for v in nodes:
+        row = 0
+        for w in graph.out_adj[v]:
+            p = pos.get(w)
+            if p is not None:
+                row |= 1 << p
+        adj.append(row)
+    return tuple(adj)
 
 
 def from_node_set(graph: DiGraph, nodes: tuple[int, ...], i_mask: int, o_mask: int) -> Rule:
     """Build a rule from the subgraph induced by ``nodes`` (given in the
     fixed order that the masks refer to)."""
-    pos = {v: i for i, v in enumerate(nodes)}
-    adj = [0] * len(nodes)
-    for v in nodes:
-        for w in graph.out_adj[v]:
-            if w in pos:
-                adj[pos[v]] |= 1 << pos[w]
-    return Rule(len(nodes), tuple(adj), i_mask, o_mask)
+    return Rule(len(nodes), fragment_adj(graph, nodes), i_mask, o_mask)
 
 
 # -- canonicalization ------------------------------------------------------
 
 
-def _invariant(rule: Rule, v: int) -> tuple[int, int, int, int]:
-    out, inn = rule.degrees(v)
-    return (rule.i_mask >> v & 1, rule.o_mask >> v & 1, out, inn)
+def _relabel(rows, perm: tuple[int, ...]) -> list[int]:
+    """Bitmask ``rows`` with every set bit ``old`` moved to bit ``new``,
+    where ``perm[new] = old``.  Walks set bits only."""
+    bit = [0] * len(perm)
+    for new, old in enumerate(perm):
+        bit[old] = 1 << new
+    out = []
+    for row in rows:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= bit[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
 
 
-def _candidate_perms(rule: Rule):
+def _candidate_perms(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int):
     """Permutations compatible with the invariant-sorted position order.
 
     Yields tuples ``perm`` with ``perm[new_pos] = old_pos``.  Positions are
@@ -116,18 +143,24 @@ def _candidate_perms(rule: Rule):
     within equal-invariant groups can alter the serialization, so the search
     is the product of within-group arrangements.
     """
-    groups: dict[tuple, list[int]] = {}
-    for v in range(rule.k):
-        groups.setdefault(_invariant(rule, v), []).append(v)
-    keys = sorted(groups)
-    for combo in itertools.product(*(itertools.permutations(groups[k]) for k in keys)):
-        perm: list[int] = []
-        for part in combo:
-            perm.extend(part)
-        yield tuple(perm)
+    # Each invariant tuple is packed into one int that sorts the same way:
+    # degrees are at most 7 (k <= 8, no self-loops), so three bits each.
+    invariant = [
+        (i_mask >> v & 1) << 7 | (o_mask >> v & 1) << 6 | row.bit_count() << 3
+        for v, row in enumerate(adj)
+    ]
+    for row in adj:
+        while row:
+            low = row & -row
+            invariant[low.bit_length() - 1] += 1
+            row ^= low
+    order = sorted(range(k), key=invariant.__getitem__)
+    groups = [tuple(g) for _, g in itertools.groupby(order, key=invariant.__getitem__)]
+    for combo in itertools.product(*map(itertools.permutations, groups)):
+        yield tuple(itertools.chain.from_iterable(combo))
 
 
-def _serialize(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> bytes:
+def _serialize(k: int, adj: list[int], i_mask: int, o_mask: int) -> bytes:
     nbytes = (k + 7) // 8
     out = bytearray([k, i_mask, o_mask])
     for row in adj:
@@ -136,48 +169,36 @@ def _serialize(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> bytes:
 
 
 @lru_cache(maxsize=1 << 18)
-def canonical_form(rule: Rule) -> tuple[bytes, tuple[int, ...]]:
-    """Canonical code and a witnessing permutation.
+def canonical_form(
+    k: int, adj: tuple[int, ...], i_mask: int, o_mask: int
+) -> tuple[bytes, tuple[int, ...]]:
+    """Canonical code and a witnessing permutation of a raw fragment.
 
     The code is identical for all relabelings of the fragment (including
-    masks); the permutation maps canonical positions to the rule's original
-    positions (``perm[new] = old``).
+    masks); the permutation maps canonical positions to the fragment's
+    original positions (``perm[new] = old``).  The cache key is the plain
+    ``(k, adj, i_mask, o_mask)`` tuple.  On a miss the fields are validated
+    as a ``Rule`` first, so an invalid fragment raises ``RuleError`` and is
+    never cached.
     """
+    Rule(k, adj, i_mask, o_mask)
     best_key = None
     best_perm = None
-    for perm in _candidate_perms(rule):
-        inv = [0] * rule.k
-        for new, old in enumerate(perm):
-            inv[old] = new
-        adj = [0] * rule.k
-        for new, old in enumerate(perm):
-            row = rule.adj[old]
-            acc = 0
-            for j in range(rule.k):
-                if row >> j & 1:
-                    acc |= 1 << inv[j]
-            adj[new] = acc
-        key = tuple(adj)
+    for perm in _candidate_perms(k, adj, i_mask, o_mask):
+        key = _relabel([adj[old] for old in perm], perm)
         if best_key is None or key < best_key:
             best_key = key
             best_perm = perm
-    i_new = sum(
-        (rule.i_mask >> old & 1) << new for new, old in enumerate(best_perm)
-    )
-    o_new = sum(
-        (rule.o_mask >> old & 1) << new for new, old in enumerate(best_perm)
-    )
-    return _serialize(rule.k, best_key, i_new, o_new), best_perm
+    return _serialize(k, best_key, *_relabel((i_mask, o_mask), best_perm)), best_perm
 
 
-def canonical_code(rule: Rule) -> bytes:
-    return canonical_form(rule)[0]
+def canonical_code(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> bytes:
+    return canonical_form(k, adj, i_mask, o_mask)[0]
 
 
 def canonical_rule(rule: Rule) -> Rule:
     """The rule relabeled into its canonical position order."""
-    code = canonical_code(rule)
-    return rule_from_code(code)
+    return rule_from_code(canonical_code(rule.k, rule.adj, rule.i_mask, rule.o_mask))
 
 
 def rule_from_code(code: bytes) -> Rule:
@@ -194,18 +215,8 @@ def rule_from_code(code: bytes) -> Rule:
 
 def permute(rule: Rule, perm: tuple[int, ...]) -> Rule:
     """Relabel the rule so new position ``n`` holds old position ``perm[n]``."""
-    inv = [0] * rule.k
-    for new, old in enumerate(perm):
-        inv[old] = new
-    adj = [0] * rule.k
-    for new, old in enumerate(perm):
-        acc = 0
-        for j in range(rule.k):
-            if rule.adj[old] >> j & 1:
-                acc |= 1 << inv[j]
-        adj[new] = acc
-    i_mask = sum((rule.i_mask >> old & 1) << new for new, old in enumerate(perm))
-    o_mask = sum((rule.o_mask >> old & 1) << new for new, old in enumerate(perm))
+    adj = _relabel([rule.adj[old] for old in perm], perm)
+    i_mask, o_mask = _relabel((rule.i_mask, rule.o_mask), perm)
     return Rule(rule.k, tuple(adj), i_mask, o_mask)
 
 
@@ -232,8 +243,7 @@ class RuleLibrary:
     def intern(self, rule: Rule) -> tuple[int, bool]:
         """Map a rule to its stable id, creating it if no isomorphic rule is
         known; bumps the discovery count either way."""
-        code = canonical_code(rule)
-        return self.intern_code(code)
+        return self.intern_code(canonical_code(rule.k, rule.adj, rule.i_mask, rule.o_mask))
 
     def intern_code(self, code: bytes) -> tuple[int, bool]:
         rid = self.index.get(code)

@@ -15,7 +15,6 @@ from vrgc.mdl import (
     b_application,
     b_graph,
     b_rule,
-    best_candidates,
     boundary_patterns,
     ceil_log2,
     cost_of_n,
@@ -24,6 +23,7 @@ from vrgc.mdl import (
     nodes_of_n,
     pcr,
 )
+from vrgc.rules import from_node_set
 
 
 def test_ceil_log2():
@@ -110,6 +110,18 @@ def test_edit_cost_matches_oracle(seed):
         assert analysis.cost == exhaustive
 
 
+def best_candidates(graph, nodes):
+    """Every minimum-cost (rule, edits) pair of a node set, ties all kept."""
+    ordered = tuple(sorted(nodes))
+    analysis = analyze_set(graph, ordered)
+    out = []
+    for i_mask, o_mask in analysis.mask_pairs():
+        cost, edits = edit_cost(graph, ordered, i_mask, o_mask)
+        assert cost == analysis.cost
+        out.append((from_node_set(graph, ordered, i_mask, o_mask), edits))
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_edits_produce_exact_occurrence(seed):
@@ -121,15 +133,15 @@ def test_edits_produce_exact_occurrence(seed):
     if not sets:
         return
     nodes = sets[rng.randrange(len(sets))]
-    for cand in best_candidates(g, nodes):
+    for rule, edits in best_candidates(g, nodes):
         edited = g.copy()
-        for e in cand.edits:
+        for e in edits:
             edited.apply_edit(e)
         in_pats, out_pats = boundary_patterns(edited, nodes)
         for _, pat in in_pats:
-            assert pat == cand.rule.i_mask
+            assert pat == rule.i_mask
         for _, pat in out_pats:
-            assert pat == cand.rule.o_mask
+            assert pat == rule.o_mask
 
 
 def table_for_tests():

@@ -1,7 +1,8 @@
-"""Incremental rule selection and the incremental occurrence index, each
-checked against a full-recomputation oracle at every iteration of a real
-extraction on small random ER graphs."""
+"""Incremental rule selection, the incremental occurrence index and set
+registration, each checked against a full-recomputation oracle at every
+iteration of a real extraction on small random ER graphs."""
 
+from dataclasses import astuple
 from fractions import Fraction
 from unittest import mock
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from vrgc import engine
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
-from vrgc.mdl import CostLevel, default_params, pcr
-from vrgc.rules import RuleLibrary
+from vrgc.mdl import CostLevel, analyze_set, default_params, pcr
+from vrgc.rules import RuleLibrary, canonical_code, from_node_set
 from vrgc.synth import gen_er
 
 
@@ -98,6 +99,44 @@ def test_incremental_index_matches_rebuild(g, k_max):
     def checked(state, graph, affected, cfg, library):
         out = real(state, graph, affected, cfg, library)
         assert snapshot(state) == snapshot(fresh_index(graph, cfg))
+        updates.append(len(state))
+        return out
+
+    with mock.patch.object(engine, "update_after_extraction", checked):
+        res = engine.extract(g, config)
+    assert len(updates) == res.iterations
+
+
+def assert_registered_like_oracle(state, graph):
+    """Every entry's codes are the canonical codes of validated rules built
+    one per minimum-cost mask pair, in first-seen order, and its pairs are
+    the first pair seen for each code."""
+    for nodes, entry in state.entries.items():
+        first = {}
+        for i_mask, o_mask in analyze_set(graph, nodes).mask_pairs():
+            rule = from_node_set(graph, nodes, i_mask, o_mask)
+            first.setdefault(canonical_code(*astuple(rule)), (i_mask, o_mask))
+        assert entry.codes == list(first)
+        assert entry.pairs == list(first.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=small_er, k_max=st.integers(2, 4), shortcut=st.sampled_from([1, None]))
+def test_registration_matches_rule_oracle(g, k_max, shortcut):
+    config = ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut)
+    state = EnumState()
+    library = RuleLibrary()
+    probe = lambda nodes: state.register(g, nodes, library)
+    for _ in enumerate_connected_sets(g, config, cost_probe=probe):
+        pass
+    assert_registered_like_oracle(state, g)
+
+    real = engine.update_after_extraction
+    updates = []
+
+    def checked(state, graph, affected, cfg, library):
+        out = real(state, graph, affected, cfg, library)
+        assert_registered_like_oracle(state, graph)
         updates.append(len(state))
         return out
 
