@@ -1,65 +1,1 @@
 """Lossless graph compression via extracted vertex-replacement grammars."""
-
-from .analysis import (
-    RuleDistribution,
-    compression_rate,
-    kl_divergence,
-    rank_interesting,
-    rule_distribution,
-)
-from .engine import (
-    ApplicationRecord,
-    ExtractionResult,
-    decode,
-    extract,
-)
-from .enumeration import ExtractConfig, enumerate_connected_sets
-from .graphs import DiGraph, EdgeEdit, EditKind, parse_edge_list
-from .mdl import BitAccount, b_application, b_graph, b_rule, edit_cost, pcr
-from .rules import Rule, RuleLibrary, apply_rule, canonical_code
-from .synth import (
-    NoiseConfig,
-    gen_binary_tree,
-    gen_chung_lu_directed,
-    gen_er,
-    gen_ring_lattice,
-    gen_tree_of_rings,
-    rewire,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ApplicationRecord",
-    "BitAccount",
-    "DiGraph",
-    "EdgeEdit",
-    "EditKind",
-    "ExtractConfig",
-    "ExtractionResult",
-    "NoiseConfig",
-    "Rule",
-    "RuleDistribution",
-    "RuleLibrary",
-    "apply_rule",
-    "b_application",
-    "b_graph",
-    "b_rule",
-    "canonical_code",
-    "compression_rate",
-    "decode",
-    "edit_cost",
-    "enumerate_connected_sets",
-    "extract",
-    "gen_binary_tree",
-    "gen_chung_lu_directed",
-    "gen_er",
-    "gen_ring_lattice",
-    "gen_tree_of_rings",
-    "kl_divergence",
-    "parse_edge_list",
-    "pcr",
-    "rank_interesting",
-    "rewire",
-    "rule_distribution",
-]

@@ -88,7 +88,7 @@ def report_json_obj(result, null_comparisons: dict[str, tuple[float, dict]] | No
         "rules": [
             {
                 "id": rid,
-                "k": grammar.rules[rid].k,
+                "k": grammar.codes[rid][0],
                 "frequency": grammar.frequency[rid],
             }
             for rid in grammar.ordered_ids()

@@ -1,9 +1,13 @@
 """Run artifact serialization.
 
-The artifact JSON is self-contained for decoding: grammar codes, the
-application records, and the residual graph travel together with the bit
-account, per-rule stats, and the manifest that produced the run.  Keys are
-sorted on write so identical runs produce identical bytes.
+The artifact JSON holds what decoding needs: the codes of the rules the
+records use, the application records (rule id, node ids, edits) and the
+residual graph, together with the bit account and the manifest that
+produced the run.  Rule ids are renumbered on write: the used codes are
+stored in ascending order of their id in the extraction's library, and the
+records point into that list.  Rule frequencies and per-rule stats follow
+from the records and are rebuilt on load; discovery counts are not stored.
+Keys are sorted on write so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .graphs import DiGraph
 from .mdl import BitAccount
 from .rules import RuleError, RuleLibrary
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ArtifactInvalid(Exception):
@@ -25,7 +29,8 @@ class ArtifactInvalid(Exception):
 
 
 def result_to_obj(result: ExtractionResult, manifest: dict | None = None) -> dict:
-    grammar = result.grammar
+    used = sorted({r.rule_id for r in result.records})
+    new_id = {rid: i for i, rid in enumerate(used)}
     return {
         "schema_version": SCHEMA_VERSION,
         "manifest": manifest or {},
@@ -33,21 +38,14 @@ def result_to_obj(result: ExtractionResult, manifest: dict | None = None) -> dic
             "k_min": result.config.k_min,
             "k_max": result.config.k_max,
             "shortcut_s": result.config.shortcut_s,
-            "seed": result.config.seed,
             "mdl_stop": result.config.mdl_stop,
         },
-        "grammar": {
-            "codes": [c.hex() for c in grammar.codes],
-            "frequency": list(grammar.frequency),
-            "discovery": list(grammar.discovery),
-        },
+        "grammar": {"codes": [result.grammar.codes[rid].hex() for rid in used]},
         "records": [
             {
-                "rule_id": r.rule_id,
+                "rule_id": new_id[r.rule_id],
                 "node_ids": list(r.node_ids),
                 "edits": [[p, e, d] for p, e, d in r.edits],
-                "boundary": sorted(r.boundary),
-                "multi_boundary": sorted(r.multi_boundary),
             }
             for r in result.records
         ],
@@ -57,15 +55,6 @@ def result_to_obj(result: ExtractionResult, manifest: dict | None = None) -> dic
             "edges": [list(e) for e in result.residual.edges()],
         },
         "account": result.account.to_json_obj(),
-        "rule_stats": {
-            str(rid): {
-                "frequency": st["frequency"],
-                "cost_histogram": {str(c): n for c, n in sorted(st["cost_histogram"].items())},
-                "edges_edited": st["edges_edited"],
-            }
-            for rid, st in sorted(result.rule_stats.items())
-        },
-        "iterations": result.iterations,
         "runtime_seconds": result.runtime_seconds,
     }
 
@@ -84,25 +73,22 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
             k_min=cfg["k_min"],
             k_max=cfg["k_max"],
             shortcut_s=cfg["shortcut_s"],
-            seed=cfg["seed"],
             mdl_stop=cfg["mdl_stop"],
         )
-        gram = obj["grammar"]
-        library = RuleLibrary.from_codes(
-            [bytes.fromhex(c) for c in gram["codes"]],
-            gram["frequency"],
-            gram["discovery"],
-        )
-        records = [
-            ApplicationRecord(
-                rule_id=r["rule_id"],
-                node_ids=tuple(r["node_ids"]),
-                edits=tuple((p, e, d) for p, e, d in r["edits"]),
-                boundary=frozenset(r["boundary"]),
-                multi_boundary=frozenset(r["multi_boundary"]),
+        library = RuleLibrary.from_codes([bytes.fromhex(c) for c in obj["grammar"]["codes"]])
+        records = []
+        for r in obj["records"]:
+            rid = r["rule_id"]
+            if type(rid) is not int or not 0 <= rid < len(library):
+                raise ArtifactInvalid(f"record names unknown rule id {rid!r}")
+            library.record_extraction(rid)
+            records.append(
+                ApplicationRecord(
+                    rule_id=rid,
+                    node_ids=tuple(r["node_ids"]),
+                    edits=tuple((p, e, d) for p, e, d in r["edits"]),
+                )
             )
-            for r in obj["records"]
-        ]
         res = obj["residual"]
         residual = DiGraph(res["n0"])
         residual.active = set(res["active"])
@@ -115,22 +101,12 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
             application_bits=acct["application_bits"],
             residual_bits=acct["residual_bits"],
         )
-        rule_stats = {
-            int(rid): {
-                "frequency": st["frequency"],
-                "cost_histogram": {int(c): n for c, n in st["cost_histogram"].items()},
-                "edges_edited": st["edges_edited"],
-            }
-            for rid, st in obj["rule_stats"].items()
-        }
         result = ExtractionResult(
             grammar=library,
             records=records,
             residual=residual,
             account=account,
-            rule_stats=rule_stats,
             config=config,
-            iterations=obj["iterations"],
             runtime_seconds=obj["runtime_seconds"],
         )
         return result, obj.get("manifest", {})

@@ -19,7 +19,7 @@ from .artifact import ArtifactInvalid, load_artifact, save_artifact
 from .engine import CorruptRecord, decode, extract
 from .enumeration import ConfigInvalid, ExtractConfig
 from .graphs import DiGraph, GraphError, parse_edge_list
-from .rules import rule_to_dot
+from .rules import rule_from_code, rule_to_dot
 from .synth import NoiseConfig, ParamInvalid
 
 EXIT_OK = 0
@@ -99,7 +99,6 @@ def make_config(args) -> ExtractConfig:
         k_min=args.kmin,
         k_max=args.kmax,
         shortcut_s=args.shortcut,
-        seed=args.seed,
         mdl_stop=args.mdl_stop,
     )
 
@@ -162,7 +161,7 @@ def _write_outputs(args, result, manifest) -> Path:
     if "dot" in emit:
         for rid in result.grammar.ordered_ids():
             if result.grammar.frequency[rid] > 0:
-                dot = rule_to_dot(result.grammar.rules[rid], name=f"rule_{rid}")
+                dot = rule_to_dot(rule_from_code(result.grammar.codes[rid]), name=f"rule_{rid}")
                 (out / f"rule_{rid}.dot").write_text(dot)
     return out
 
@@ -257,7 +256,7 @@ def cmd_compare(args) -> int:
                 rid = result.grammar.index.get(code)
                 if rid is None:
                     continue
-                dot = rule_to_dot(result.grammar.rules[rid], name=f"{name}_top{rank}")
+                dot = rule_to_dot(rule_from_code(result.grammar.codes[rid]), name=f"{name}_top{rank}")
                 (out / f"interesting_{name}_{rank}.dot").write_text(dot)
     for name in sorted(comparisons):
         print(f"kl[{name}] = {comparisons[name][0]:.6f}")

@@ -22,7 +22,6 @@ from .enumeration import (
     ConfigInvalid,
     EnumState,
     ExtractConfig,
-    affected_nodes,
     enumerate_connected_sets,
     update_after_extraction,
 )
@@ -56,16 +55,12 @@ class ApplicationRecord:
     ``node_ids[p]`` is the original node id standing at canonical fragment
     position ``p``.  ``edits`` are edge toggles ``(position, external,
     direction)`` applied immediately before the collapse; ``direction`` is
-    ``"in"`` for external -> fragment.  ``boundary`` and ``multi_boundary``
-    snapshot the pre-edit externals for incremental-update bookkeeping and
-    are not needed for decoding.
+    ``"in"`` for external -> fragment.
     """
 
     rule_id: int
     node_ids: tuple[int, ...]
     edits: tuple[tuple[int, int, str], ...]
-    boundary: frozenset[int] = frozenset()
-    multi_boundary: frozenset[int] = frozenset()
 
     @property
     def survivor(self) -> int:
@@ -83,10 +78,27 @@ class ExtractionResult:
     records: list[ApplicationRecord]
     residual: DiGraph
     account: BitAccount
-    rule_stats: dict[int, dict]
     config: ExtractConfig
-    iterations: int = 0
     runtime_seconds: float = 0.0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.records)
+
+    @property
+    def rule_stats(self) -> dict[int, dict]:
+        """Per used rule: extractions, their edit-cost histogram and edges
+        edited.  An occurrence's cost is the number of edits it needed."""
+        rule_stats: dict[int, dict] = {}
+        for record in self.records:
+            stats = rule_stats.setdefault(
+                record.rule_id, {"frequency": 0, "cost_histogram": {}, "edges_edited": 0}
+            )
+            cost = len(record.edits)
+            stats["frequency"] += 1
+            stats["cost_histogram"][cost] = stats["cost_histogram"].get(cost, 0) + 1
+            stats["edges_edited"] += cost
+        return rule_stats
 
 
 @dataclass(frozen=True)
@@ -174,18 +186,11 @@ def select_best(
     return Choice(best.rid, best.code, best.value, nodes, pair, best.cost)
 
 
-def extract_one(graph: DiGraph, choice: Choice, library: RuleLibrary) -> ApplicationRecord:
+def extract_one(graph: DiGraph, choice: Choice) -> ApplicationRecord:
     """Apply the chosen occurrence in place and return its replay record."""
     nodes = choice.nodes
     i_mask, o_mask = choice.pair
     in_pats, out_pats = boundary_patterns(graph, nodes)
-    boundary = frozenset(u for u, _ in in_pats) | frozenset(w for w, _ in out_pats)
-    counts: dict[int, int] = {}
-    for u, pat in in_pats:
-        counts[u] = counts.get(u, 0) + pat.bit_count()
-    for w, pat in out_pats:
-        counts[w] = counts.get(w, 0) + pat.bit_count()
-    multi = frozenset(v for v, c in counts.items() if c >= 2)
     edits = boundary_edits(nodes, in_pats, out_pats, i_mask, o_mask)
     if len(edits) != choice.cost:
         raise StaleCandidate(
@@ -203,9 +208,7 @@ def extract_one(graph: DiGraph, choice: Choice, library: RuleLibrary) -> Applica
             packed.append((canon_pos[set_pos[e.dst]], e.src, "in"))
         graph.apply_edit(e)
     graph.collapse(set(nodes))
-    return ApplicationRecord(
-        choice.rule_id, node_ids, tuple(packed), boundary, multi
-    )
+    return ApplicationRecord(choice.rule_id, node_ids, tuple(packed))
 
 
 def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
@@ -229,7 +232,7 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
         choice = select_best(state, library, n0)
         if choice is None:
             break
-        record = extract_one(g, choice, library)
+        record = extract_one(g, choice)
         if config.mdl_stop:
             k = choice.code[0]
             same = bool(records) and records[-1].rule_id == choice.rule_id
@@ -239,9 +242,11 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
             bits.append(written + b_graph(g.num_nodes(), g.num_edges()))
         library.record_extraction(choice.rule_id)
         records.append(record)
-        affected = affected_nodes(g, record)
-        affected |= record.boundary
-        affected |= set(record.freed_ids)
+        # Every pre-edit external either keeps an edge to the survivor or
+        # lost all its edges to the set by edits, so these are all the
+        # nodes whose occurrences the extraction can have changed.
+        affected = set(record.node_ids) | g.neighbors(record.survivor)
+        affected.update(external for _, external, _ in record.edits)
         update_after_extraction(state, g, affected, config, library)
     if config.mdl_stop:
         # Keep the shortest prefix with the fewest bits; undo the rest.
@@ -254,9 +259,9 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
     account = BitAccount(
         original_bits=b_graph(n0, original_edges),
         rule_bits=sum(
-            b_rule(library.rules[rid].k, n0)
-            for rid in range(len(library))
-            if library.frequency[rid] > 0
+            b_rule(code[0], n0)
+            for code, frequency in zip(library.codes, library.frequency)
+            if frequency > 0
         ),
         application_bits=realized_application_bits(records, library, n0),
         residual_bits=b_graph(g.num_nodes(), g.num_edges()),
@@ -266,26 +271,9 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
         records=records,
         residual=g,
         account=account,
-        rule_stats=_rule_stats(records),
         config=config,
-        iterations=len(records),
         runtime_seconds=time.perf_counter() - started,
     )
-
-
-def _rule_stats(records: list[ApplicationRecord]) -> dict[int, dict]:
-    """Per used rule: extractions, their edit-cost histogram and edges
-    edited.  An occurrence's cost is the number of edits it needed."""
-    rule_stats: dict[int, dict] = {}
-    for record in records:
-        stats = rule_stats.setdefault(
-            record.rule_id, {"frequency": 0, "cost_histogram": {}, "edges_edited": 0}
-        )
-        cost = len(record.edits)
-        stats["frequency"] += 1
-        stats["cost_histogram"][cost] = stats["cost_histogram"].get(cost, 0) + 1
-        stats["edges_edited"] += cost
-    return rule_stats
 
 
 def realized_application_bits(
@@ -294,7 +282,7 @@ def realized_application_bits(
     bits = 0
     previous = None
     for record in records:
-        k = library.rules[record.rule_id].k
+        k = library.codes[record.rule_id][0]
         bits += b_application(
             k, len(record.edits), n0, same_rule_as_previous=record.rule_id == previous
         )
@@ -314,10 +302,9 @@ def replay(
     then re-toggling its recorded edits."""
     g = residual.copy()
     for record in reversed(records):
-        try:
-            rule = rule_from_code(library.codes[record.rule_id])
-        except IndexError as exc:
-            raise CorruptRecord(f"unknown rule id {record.rule_id}") from exc
+        if not 0 <= record.rule_id < len(library.codes):
+            raise CorruptRecord(f"unknown rule id {record.rule_id}")
+        rule = rule_from_code(library.codes[record.rule_id])
         try:
             apply_rule(g, record.survivor, rule, record.node_ids)
             for position, external, direction in record.edits:

@@ -29,7 +29,6 @@ class ExtractConfig:
     k_min: int = 2
     k_max: int = 3
     shortcut_s: Optional[int] = 1  # None disables the heuristic
-    seed: int = 0
     mdl_stop: bool = False
 
     def __post_init__(self):
@@ -126,7 +125,6 @@ def enumerate_connected_sets(
 
 @dataclass
 class SetEntry:
-    nodes: tuple[int, ...]
     cost: int
     pairs: list[tuple[int, int]]  # one representative (i, o) mask pair per code
     codes: list[bytes]
@@ -179,7 +177,7 @@ class EnumState:
             if code not in seen:
                 seen[code] = (i_mask, o_mask)
                 library.intern_code(code)
-        entry = SetEntry(nodes, analysis.cost, list(seen.values()), list(seen))
+        entry = SetEntry(analysis.cost, list(seen.values()), list(seen))
         self.entries[nodes] = entry
         self._cost_counts[entry.cost] = self._cost_counts.get(entry.cost, 0) + 1
         for code in entry.codes:
@@ -211,17 +209,6 @@ class EnumState:
             self.remove_set(t)
 
 
-def affected_nodes(graph_after: DiGraph, record) -> set[int]:
-    """Nodes whose occurrence registrations an extraction may invalidate:
-    the survivor, edit endpoints, and externals that held multiple boundary
-    edges to the collapsed set."""
-    out = {record.survivor}
-    for _, external, _ in record.edits:
-        out.add(external)
-    out |= set(record.multi_boundary)
-    return out & graph_after.active
-
-
 def update_after_extraction(
     state: EnumState,
     graph: DiGraph,
@@ -232,8 +219,8 @@ def update_after_extraction(
     """Drop every occurrence touching an affected node and re-enumerate
     restricted to sets containing a live affected node.  ``affected`` must
     include any ids retired by the extraction."""
-    state.remove_touching(set(affected))
-    live = set(affected) & graph.active
+    state.remove_touching(affected)
+    live = affected & graph.active
     if live:
         probe = lambda nodes: state.register(graph, nodes, library)
         for _ in enumerate_connected_sets(

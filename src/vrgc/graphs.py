@@ -48,10 +48,6 @@ class EdgeEdit:
     dst: int
     kind: EditKind
 
-    def inverse(self) -> "EdgeEdit":
-        kind = EditKind.DELETE if self.kind is EditKind.ADD else EditKind.ADD
-        return EdgeEdit(self.src, self.dst, kind)
-
 
 class DiGraph:
     """Simple directed graph over dense integer node ids.
@@ -152,16 +148,7 @@ class DiGraph:
         else:
             self.add_edge(u, v)
 
-    # -- subgraph / collapse ----------------------------------------------
-
-    def induced_subgraph(self, nodes: set[int]) -> "DiGraph":
-        self._check_active(*nodes)
-        g = DiGraph.__new__(DiGraph)
-        g.n0 = self.n0
-        g.active = set(nodes)
-        g.out_adj = {v: self.out_adj[v] & nodes for v in nodes}
-        g.in_adj = {v: self.in_adj[v] & nodes for v in nodes}
-        return g
+    # -- collapse ----------------------------------------------------------
 
     def is_weakly_connected(self, nodes: set[int]) -> bool:
         if not nodes:
@@ -254,7 +241,6 @@ def parse_edge_list(text: str) -> DiGraph:
     """
     edges: set[tuple[int, int]] = set()
     max_id = -1
-    nodes: set[int] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -271,7 +257,6 @@ def parse_edge_list(text: str) -> DiGraph:
         if u == v:
             raise SelfLoopRejected(f"line {lineno}: self-loop {u}->{v} rejected")
         edges.add((u, v))
-        nodes.update((u, v))
         max_id = max(max_id, u, v)
     g = DiGraph(max_id + 1)
     for u, v in edges:

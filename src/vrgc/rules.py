@@ -224,34 +224,30 @@ def permute(rule: Rule, perm: tuple[int, ...]) -> Rule:
 
 
 class RuleLibrary:
-    """Frequency-ordered store of canonicalized rules with stable ids.
+    """Store of canonical rule codes with stable ids, in interning order.
 
     ``discovery`` counts occurrences found during enumeration and drives the
-    ordering heuristic; ``frequency`` counts accepted extractions.
+    ordering heuristic; ``frequency`` counts accepted extractions.  A code's
+    ``Rule`` is rebuilt with ``rule_from_code`` where one is needed.
     """
 
     def __init__(self):
-        self.rules: list[Rule] = []
         self.codes: list[bytes] = []
         self.index: dict[bytes, int] = {}
         self.discovery: list[int] = []
         self.frequency: list[int] = []
 
     def __len__(self) -> int:
-        return len(self.rules)
-
-    def intern(self, rule: Rule) -> tuple[int, bool]:
-        """Map a rule to its stable id, creating it if no isomorphic rule is
-        known; bumps the discovery count either way."""
-        return self.intern_code(canonical_code(rule.k, rule.adj, rule.i_mask, rule.o_mask))
+        return len(self.codes)
 
     def intern_code(self, code: bytes) -> tuple[int, bool]:
+        """Map a canonical code to its stable id, creating it if new; bumps
+        the discovery count either way."""
         rid = self.index.get(code)
         if rid is None:
-            rid = len(self.rules)
+            rid = len(self.codes)
             self.index[code] = rid
             self.codes.append(code)
-            self.rules.append(rule_from_code(code))
             self.discovery.append(1)
             self.frequency.append(0)
             return rid, True
@@ -259,22 +255,19 @@ class RuleLibrary:
         return rid, False
 
     @classmethod
-    def from_codes(
-        cls, codes: list[bytes], frequency: list[int], discovery: list[int]
-    ) -> "RuleLibrary":
+    def from_codes(cls, codes: list[bytes]) -> "RuleLibrary":
         """Rebuild a stored library; rule ids follow the order of ``codes``.
 
-        Raises ``ValueError`` on a repeated code, which would otherwise
-        shift every later rule id, or on counts that do not match the codes.
+        Each code is checked with ``rule_from_code`` (``RuleError`` if it is
+        no valid rule).  Raises ``ValueError`` on a repeated code, which
+        would otherwise shift every later rule id.  Frequencies start at 0
+        and discovery counts at 1, as for freshly interned codes.
         """
-        if not len(codes) == len(frequency) == len(discovery):
-            raise ValueError("codes, frequency and discovery differ in length")
         library = cls()
         for code in codes:
+            rule_from_code(code)
             if not library.intern_code(code)[1]:
                 raise ValueError(f"rule code {code.hex()} appears twice")
-        library.frequency[:] = frequency
-        library.discovery[:] = discovery
         return library
 
     def record_extraction(self, rid: int) -> None:
@@ -282,7 +275,7 @@ class RuleLibrary:
 
     def ordered_ids(self) -> list[int]:
         """Ids sorted by descending discovery count, stable on ties."""
-        return sorted(range(len(self.rules)), key=lambda r: (-self.discovery[r], r))
+        return sorted(range(len(self.codes)), key=lambda r: (-self.discovery[r], r))
 
     def to_json_obj(self) -> dict:
         return {
@@ -296,7 +289,7 @@ class RuleLibrary:
                     "frequency": self.frequency[rid],
                     "discovery": self.discovery[rid],
                 }
-                for rid, rule in enumerate(self.rules)
+                for rid, rule in enumerate(map(rule_from_code, self.codes))
             ],
             "order": self.ordered_ids(),
         }

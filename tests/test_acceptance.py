@@ -7,6 +7,7 @@ failure).  The whole file is expected to run in a few minutes.
 import contextlib
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from vrgc.mdl import (
     nodes_of_n,
     pcr,
 )
-from vrgc.rules import RuleLibrary
+from vrgc.rules import RuleLibrary, canonical_code, rule_from_code
 from vrgc.synth import (
     NoiseConfig,
     gen_binary_tree,
@@ -149,7 +150,7 @@ def test_criterion_5_bit_formulas_and_realized_identity():
                 res.records, lib, g.n0
             )
             assert res.account.rule_bits == sum(
-                b_rule(lib.rules[rid].k, g.n0)
+                b_rule(lib.codes[rid][0], g.n0)
                 for rid in range(len(lib))
                 if lib.frequency[rid]
             )
@@ -219,10 +220,10 @@ def test_criterion_10_kl_suite():
 
         shapes = [Rule(2, (2, 0), m, 0) for m in range(4)]
         for shape, count in zip(shapes, (2, 1)):
-            rid, _ = lib_p.intern(shape)
+            rid, _ = lib_p.intern_code(canonical_code(*astuple(shape)))
             lib_p.frequency[rid] = count
         for shape, count in zip(shapes, (0, 1, 2)):
-            rid, _ = lib_q.intern(shape)
+            rid, _ = lib_q.intern_code(canonical_code(*astuple(shape)))
             lib_q.frequency[rid] = count
         total, contributions = kl_divergence(
             rule_distribution(lib_p), rule_distribution(lib_q)
@@ -251,5 +252,5 @@ def test_criterion_11_reciprocated_rules():
                 for j in range(rule.k)
             )
 
-        hits = sum(bidirected(res.grammar.rules[rid]) for rid in ranked)
+        hits = sum(bidirected(rule_from_code(res.grammar.codes[rid])) for rid in ranked)
         assert hits * 2 >= len(ranked)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -12,7 +13,7 @@ from vrgc.analysis import (
 from vrgc.engine import extract
 from vrgc.enumeration import ExtractConfig
 from vrgc.mdl import BitAccount
-from vrgc.rules import Rule, RuleLibrary
+from vrgc.rules import Rule, RuleLibrary, canonical_code
 
 
 def account(original, rule=0, app=0, residual=0):
@@ -41,7 +42,7 @@ def library_with_counts(counts):
         Rule(2, (2, 0), 3, 0),
     ]
     for shape, count in zip(shapes, counts):
-        rid, _ = lib.intern(shape)
+        rid, _ = lib.intern_code(canonical_code(*astuple(shape)))
         lib.frequency[rid] = count
     return lib
 

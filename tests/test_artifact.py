@@ -10,7 +10,7 @@ from vrgc.artifact import (
 )
 from vrgc.engine import decode, extract
 from vrgc.enumeration import ExtractConfig
-from vrgc.synth import gen_binary_tree
+from vrgc.synth import gen_binary_tree, gen_er
 
 
 def test_save_load_roundtrip(tmp_path, demo6):
@@ -46,10 +46,11 @@ def test_load_rejects_wrong_schema(tmp_path, demo6):
     path = tmp_path / "artifact.json"
     save_artifact(res, path)
     obj = json.loads(path.read_text())
-    obj["schema_version"] = 99
-    path.write_text(json.dumps(obj))
-    with pytest.raises(ArtifactInvalid):
-        load_artifact(path)
+    for version in (1, 99):
+        obj["schema_version"] = version
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ArtifactInvalid):
+            load_artifact(path)
 
 
 def test_load_rejects_missing_fields(tmp_path, demo6):
@@ -63,19 +64,21 @@ def test_load_rejects_missing_fields(tmp_path, demo6):
         load_artifact(path)
 
 
-@pytest.mark.parametrize("fault", ["duplicate", "count_mismatch", "empty_code", "disconnected"])
+@pytest.mark.parametrize(
+    "fault", ["duplicate", "rule_id_negative", "rule_id_past_end", "empty_code", "disconnected"]
+)
 def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
-    """A repeated code would shift every later rule id; counts that do not
-    line up with the codes would attach to the wrong rules; a truncated or
-    disconnected code is no rule."""
+    """A repeated code would shift every later rule id; a rule id outside
+    the stored codes names no rule (a negative one would index from the
+    end); a truncated or disconnected code is no rule."""
     obj = result_to_obj(extract(demo6, ExtractConfig(k_min=2, k_max=3)))
     gram = obj["grammar"]
     if fault == "duplicate":
         gram["codes"].insert(0, gram["codes"][-1])
-        gram["frequency"].insert(0, 0)
-        gram["discovery"].insert(0, 1)
-    elif fault == "count_mismatch":
-        gram["frequency"].append(0)
+    elif fault == "rule_id_negative":
+        obj["records"][0]["rule_id"] = -1
+    elif fault == "rule_id_past_end":
+        obj["records"][0]["rule_id"] = len(gram["codes"])
     elif fault == "empty_code":
         gram["codes"][0] = ""
     else:
@@ -84,3 +87,44 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     path.write_text(json.dumps(obj))
     with pytest.raises(ArtifactInvalid):
         load_artifact(path)
+
+
+SCHEMA_2_CASES = {
+    "binary_tree_127_k5": (lambda: gen_binary_tree(127), ExtractConfig(k_min=2, k_max=5)),
+    "er_60_180_k3": (lambda: gen_er(60, 180, 1), ExtractConfig(k_min=2, k_max=3)),
+    "er_60_180_k3_mdl_stop_no_records": (
+        lambda: gen_er(60, 180, 1),
+        ExtractConfig(k_min=2, k_max=3, mdl_stop=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_2_CASES))
+def test_schema_2_stores_used_rules_only(tmp_path, name):
+    """The artifact keeps only the codes that the records use, in ascending
+    order of their in-memory id; loading rebuilds the frequencies and
+    per-rule stats under the new ids, and the result still decodes."""
+    make, config = SCHEMA_2_CASES[name]
+    graph = make()
+    res = extract(graph, config)
+    path = tmp_path / "artifact.json"
+    save_artifact(res, path)
+    obj = json.loads(path.read_text())
+
+    used = sorted({r.rule_id for r in res.records})
+    assert obj["grammar"] == {"codes": [res.grammar.codes[rid].hex() for rid in used]}
+    assert len(obj["records"]) == len(res.records)
+    for stored, record in zip(obj["records"], res.records):
+        assert obj["grammar"]["codes"][stored["rule_id"]] == res.grammar.codes[record.rule_id].hex()
+        assert set(stored) == {"rule_id", "node_ids", "edits"}
+
+    loaded, _ = load_artifact(path)
+    new_id = {rid: i for i, rid in enumerate(used)}
+    assert loaded.grammar.codes == [res.grammar.codes[rid] for rid in used]
+    assert loaded.grammar.frequency == [res.grammar.frequency[rid] for rid in used]
+    assert loaded.rule_stats == {new_id[rid]: st for rid, st in res.rule_stats.items()}
+    assert loaded.account == res.account
+    assert [(new_id[r.rule_id], r.node_ids, r.edits) for r in res.records] == [
+        (r.rule_id, r.node_ids, r.edits) for r in loaded.records
+    ]
+    assert decode(loaded) == graph

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import vrgc
 from conftest import random_digraph
-from vrgc.artifact import result_to_obj
+from vrgc.artifact import result_from_obj, result_to_obj
 from vrgc.engine import (
     ApplicationRecord,
     CorruptRecord,
@@ -25,7 +25,7 @@ from vrgc.engine import (
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
 from vrgc.mdl import b_graph, b_rule
-from vrgc.rules import RuleLibrary
+from vrgc.rules import RuleLibrary, rule_from_code
 from vrgc.synth import gen_binary_tree, gen_er
 
 
@@ -48,7 +48,7 @@ def test_demo6_first_selection(demo6):
     assert choice.nodes == (0, 1)
     assert choice.cost == 0
     assert choice.value == Fraction(6, 35)
-    rule = lib.rules[choice.rule_id]
+    rule = rule_from_code(lib.codes[choice.rule_id])
     assert rule.k == 2
     assert rule.num_edges() == 1
     ((tail, head),) = rule.edge_list()
@@ -117,7 +117,7 @@ def test_realized_bits_identity():
     lib = res.grammar
     assert res.account.application_bits == realized_application_bits(res.records, lib, g.n0)
     assert res.account.rule_bits == sum(
-        b_rule(lib.rules[rid].k, g.n0) for rid in range(len(lib)) if lib.frequency[rid]
+        b_rule(lib.codes[rid][0], g.n0) for rid in range(len(lib)) if lib.frequency[rid]
     )
     assert res.account.residual_bits == b_graph(
         res.residual.num_nodes(), res.residual.num_edges()
@@ -160,7 +160,7 @@ def prefix_bits(full, n0):
         records = full.records[:p]
         used = {r.rule_id for r in records}
         out.append(
-            sum(b_rule(lib.rules[rid].k, n0) for rid in used)
+            sum(b_rule(lib.codes[rid][0], n0) for rid in used)
             + realized_application_bits(records, lib, n0)
             + b_graph(residual.num_nodes(), residual.num_edges())
         )
@@ -206,7 +206,7 @@ def test_extraction_independent_of_hash_seed():
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["iterations"] > 0
+    assert len(json.loads(outputs[0])["records"]) > 0
 
 
 def test_rule_stats(demo6):
@@ -221,12 +221,27 @@ def test_rule_stats(demo6):
 def test_replay_rejects_bad_rule_id(demo6):
     res = extract(demo6, ExtractConfig(k_min=2, k_max=2))
     bad = ApplicationRecord(
-        rule_id=len(res.grammar.rules) + 3,
+        rule_id=len(res.grammar.codes) + 3,
         node_ids=res.records[0].node_ids,
         edits=(),
     )
     with pytest.raises(CorruptRecord):
         replay(res.residual, res.records[:-1] + [bad], res.grammar)
+
+
+@pytest.mark.parametrize("where", ["negative", "past_end"])
+def test_replay_rejects_out_of_range_rule_id(where):
+    """To Python ``codes[-1]`` is the last rule, so a record naming it by
+    -1 would replay exactly; replay must still reject the id."""
+    g = gen_binary_tree(127)
+    res, _ = result_from_obj(result_to_obj(extract(g, ExtractConfig(k_min=2, k_max=5))))
+    last = len(res.grammar.codes) - 1
+    i = next(i for i, r in enumerate(res.records) if r.rule_id == last)
+    records = list(res.records)
+    rule_id = -1 if where == "negative" else last + 1
+    records[i] = ApplicationRecord(rule_id, records[i].node_ids, records[i].edits)
+    with pytest.raises(CorruptRecord):
+        replay(res.residual, records, res.grammar)
 
 
 def test_replay_rejects_colliding_ids(demo6):

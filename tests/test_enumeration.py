@@ -122,7 +122,7 @@ def test_state_bookkeeping(demo6):
 def test_incremental_update_matches_scratch(demo6):
     """Dropping and re-registering around an extraction must equal a fresh
     index on the mutated graph."""
-    from vrgc.engine import affected_nodes, extract_one, select_best
+    from vrgc.engine import extract_one, select_best
 
     cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=None)
     g = demo6
@@ -133,9 +133,10 @@ def test_incremental_update_matches_scratch(demo6):
         choice = select_best(state, lib, g.n0)
         if choice is None:
             break
-        record = extract_one(g, choice, lib)
+        record = extract_one(g, choice)
         lib.record_extraction(choice.rule_id)
-        affected = affected_nodes(g, record) | record.boundary | set(record.freed_ids)
+        affected = set(record.node_ids) | g.neighbors(record.survivor)
+        affected.update(external for _, external, _ in record.edits)
         update_after_extraction(state, g, affected, cfg, lib)
         fresh = EnumState()
         register_all(g, cfg, fresh, RuleLibrary())

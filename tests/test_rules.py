@@ -205,9 +205,9 @@ def test_library_intern_and_ordering():
     a = Rule(2, (2, 0), 0b10, 0b10)
     b = Rule(2, (0, 1), 0b01, 0b01)  # same structure, relabeled
     c = Rule(2, (2, 0), 0b01, 0b01)
-    rid_a, new_a = lib.intern(a)
-    rid_b, new_b = lib.intern(b)
-    rid_c, new_c = lib.intern(c)
+    rid_a, new_a = lib.intern_code(canonical_code(*astuple(a)))
+    rid_b, new_b = lib.intern_code(canonical_code(*astuple(b)))
+    rid_c, new_c = lib.intern_code(canonical_code(*astuple(c)))
     assert new_a and not new_b and new_c
     assert rid_a == rid_b != rid_c
     assert lib.discovery[rid_a] == 2
