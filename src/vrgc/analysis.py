@@ -30,10 +30,6 @@ class RuleDistribution:
     counts: dict[bytes, int]
     probs: dict[bytes, float]
 
-    @property
-    def support(self) -> set[bytes]:
-        return set(self.probs)
-
 
 def rule_distribution(grammar: RuleLibrary) -> RuleDistribution:
     """Extraction-frequency distribution of a grammar's used rules."""

@@ -6,8 +6,8 @@ residual graph, together with the bit account and the manifest that
 produced the run.  Rule ids are renumbered on write: the used codes are
 stored in ascending order of their id in the extraction's library, and the
 records point into that list.  Rule frequencies and per-rule stats follow
-from the records and are rebuilt on load; discovery counts are not stored.
-Keys are sorted on write so identical runs produce identical bytes.
+from the records and are rebuilt on load.  Keys are sorted on write so
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -76,20 +76,10 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
             mdl_stop=cfg["mdl_stop"],
         )
         library = RuleLibrary.from_codes([bytes.fromhex(c) for c in obj["grammar"]["codes"]])
-        records = []
-        for r in obj["records"]:
-            rid = r["rule_id"]
-            if type(rid) is not int or not 0 <= rid < len(library):
-                raise ArtifactInvalid(f"record names unknown rule id {rid!r}")
-            library.record_extraction(rid)
-            records.append(
-                ApplicationRecord(
-                    rule_id=rid,
-                    node_ids=tuple(r["node_ids"]),
-                    edits=tuple((p, e, d) for p, e, d in r["edits"]),
-                )
-            )
         res = obj["residual"]
+        records = [_record_from_obj(r, library, res["n0"]) for r in obj["records"]]
+        for record in records:
+            library.record_extraction(record.rule_id)
         residual = DiGraph(res["n0"])
         residual.active = set(res["active"])
         for u, v in res["edges"]:
@@ -114,6 +104,26 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
         raise
     except (IndexError, KeyError, RuleError, TypeError, ValueError) as exc:
         raise ArtifactInvalid(f"malformed artifact: {exc}") from exc
+
+
+def _record_from_obj(r: dict, library: RuleLibrary, n0: int) -> ApplicationRecord:
+    """One stored record, checked against what replay trusts: a stored
+    rule id, exactly ``k`` distinct node ids below ``n0``, and edits at
+    fragment positions ``0..k-1`` in a known direction."""
+    rid = r["rule_id"]
+    if type(rid) is not int or not 0 <= rid < len(library):
+        raise ArtifactInvalid(f"record names unknown rule id {rid!r}")
+    k = library.codes[rid][0]
+    node_ids = tuple(r["node_ids"])
+    if len(node_ids) != k or len(set(node_ids)) != k or not all(
+        type(v) is int and 0 <= v < n0 for v in node_ids
+    ):
+        raise ArtifactInvalid(f"record node ids {list(node_ids)} are not {k} distinct ids below {n0}")
+    edits = tuple((p, e, d) for p, e, d in r["edits"])
+    for p, e, d in edits:
+        if type(p) is not int or not 0 <= p < k or d not in ("in", "out"):
+            raise ArtifactInvalid(f"bad edit {[p, e, d]} in a record of a {k}-node rule")
+    return ApplicationRecord(rule_id=rid, node_ids=node_ids, edits=edits)
 
 
 def load_artifact(path: str | Path) -> tuple[ExtractionResult, dict]:

@@ -29,15 +29,15 @@ from .graphs import DiGraph
 from .mdl import (
     BitAccount,
     CostLevel,
+    analyze_set,
     b_application,
     b_graph,
     b_rule,
     boundary_edits,
-    boundary_patterns,
     default_params,
     pcr,
 )
-from .rules import RuleLibrary, apply_rule, canonical_form, fragment_adj, rule_from_code
+from .rules import Rule, RuleLibrary, apply_rule, canonical_form, rule_from_code
 
 
 class StaleCandidate(Exception):
@@ -190,13 +190,13 @@ def extract_one(graph: DiGraph, choice: Choice) -> ApplicationRecord:
     """Apply the chosen occurrence in place and return its replay record."""
     nodes = choice.nodes
     i_mask, o_mask = choice.pair
-    in_pats, out_pats = boundary_patterns(graph, nodes)
-    edits = boundary_edits(nodes, in_pats, out_pats, i_mask, o_mask)
+    analysis = analyze_set(graph, nodes)
+    edits = boundary_edits(analysis, i_mask, o_mask)
     if len(edits) != choice.cost:
         raise StaleCandidate(
             f"occurrence {nodes} scored {choice.cost} but costs {len(edits)} now"
         )
-    _, perm = canonical_form(len(nodes), fragment_adj(graph, nodes), i_mask, o_mask)
+    _, perm = canonical_form(len(nodes), analysis.adj, i_mask, o_mask)
     node_ids = tuple(nodes[old] for old in perm)
     set_pos = {v: p for p, v in enumerate(nodes)}
     canon_pos = {old: new for new, old in enumerate(perm)}
@@ -299,12 +299,16 @@ def replay(
     residual: DiGraph, records: list[ApplicationRecord], library: RuleLibrary
 ) -> DiGraph:
     """Replay records newest first, regrowing each collapsed fragment and
-    then re-toggling its recorded edits."""
+    then re-toggling its recorded edits.  Each rule id's ``Rule`` is built
+    the first time a record names it."""
     g = residual.copy()
+    rules: dict[int, Rule] = {}
     for record in reversed(records):
         if not 0 <= record.rule_id < len(library.codes):
             raise CorruptRecord(f"unknown rule id {record.rule_id}")
-        rule = rule_from_code(library.codes[record.rule_id])
+        rule = rules.get(record.rule_id)
+        if rule is None:
+            rule = rules[record.rule_id] = rule_from_code(library.codes[record.rule_id])
         try:
             apply_rule(g, record.survivor, rule, record.node_ids)
             for position, external, direction in record.edits:

@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional
 
 from .graphs import DiGraph
 from .mdl import analyze_set
-from .rules import K_HARD_MAX, RuleLibrary, canonical_code, fragment_adj
+from .rules import K_HARD_MAX, RuleLibrary, canonical_code
 
 INFINITE_COST = math.inf
 
@@ -157,10 +157,10 @@ class EnumState:
     def register(self, graph: DiGraph, nodes: tuple[int, ...], library: RuleLibrary) -> int:
         """Score a node set, intern its minimum-cost rules, index it.
 
-        The fragment adjacency is built once per set, and each minimum-cost
-        mask pair is looked up by its raw ``(k, adj, i_mask, o_mask)``
-        fields; ``rules.canonical_form`` caches under that key and validates
-        a fragment only on its first miss.  The only memo tables consulted
+        ``analyze_set`` reads the set out of the graph once, and each
+        minimum-cost mask pair is looked up by its raw ``(k, adj, i_mask,
+        o_mask)`` fields; ``rules.canonical_form`` caches under that key
+        and validates a fragment only on its first miss.  The only memo tables consulted
         here are the ``lru_cache``s of ``rules.canonical_form`` and
         ``mdl._side_minima``, so clearing both (as the benchmark does before
         each round) starts registration cold.  Idempotent per set
@@ -170,10 +170,9 @@ class EnumState:
             self.remove_set(nodes)
         analysis = analyze_set(graph, nodes)
         k = len(nodes)
-        adj = fragment_adj(graph, nodes)
         seen: dict[bytes, tuple[int, int]] = {}
         for i_mask, o_mask in analysis.mask_pairs():
-            code = canonical_code(k, adj, i_mask, o_mask)
+            code = canonical_code(k, analysis.adj, i_mask, o_mask)
             if code not in seen:
                 seen[code] = (i_mask, o_mask)
                 library.intern_code(code)
@@ -215,7 +214,7 @@ def update_after_extraction(
     affected: set[int],
     config: ExtractConfig,
     library: RuleLibrary,
-) -> EnumState:
+) -> None:
     """Drop every occurrence touching an affected node and re-enumerate
     restricted to sets containing a live affected node.  ``affected`` must
     include any ids retired by the extraction."""
@@ -227,4 +226,3 @@ def update_after_extraction(
             graph, config, cost_probe=probe, roots=live, c_best=state.c_best()
         ):
             pass
-    return state

@@ -19,10 +19,6 @@ from typing import NamedTuple
 from .graphs import DiGraph, EdgeEdit, EditKind
 
 
-class NOutOfRange(Exception):
-    pass
-
-
 def ceil_log2(x: int) -> int:
     if x < 1:
         raise ValueError("ceil_log2 needs a positive argument")
@@ -32,32 +28,35 @@ def ceil_log2(x: int) -> int:
 # -- boundary analysis -----------------------------------------------------
 
 
-def boundary_patterns(
-    graph: DiGraph, nodes: tuple[int, ...]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Per-external boundary bitmasks over the positions of ``nodes``.
+@dataclass
+class SetAnalysis:
+    """One node set read out of the graph, over the positions of ``nodes``.
 
-    Returns ``(in_pats, out_pats)``; ``in_pats`` holds ``(external, mask)``
-    where bit ``p`` of ``mask`` means the external points at ``nodes[p]``.
+    ``adj`` holds the induced fragment's adjacency rows (bit ``j`` of
+    ``adj[i]`` is the edge ``nodes[i] -> nodes[j]``).  ``in_pats`` holds
+    sorted ``(external, mask)`` pairs where bit ``p`` of ``mask`` means the
+    external points at ``nodes[p]``; ``out_pats`` likewise for edges out of
+    the set.  ``cost`` is the minimum boundary edit cost, reached by every
+    pair of ``i_options`` and ``o_options``.
     """
-    in_pats: dict[int, int] = {}
-    out_pats: dict[int, int] = {}
-    for p, v in enumerate(nodes):
-        bit = 1 << p
-        for u in graph.in_adj[v]:
-            in_pats[u] = in_pats.get(u, 0) | bit
-        for w in graph.out_adj[v]:
-            out_pats[w] = out_pats.get(w, 0) | bit
-    for v in nodes:
-        in_pats.pop(v, None)
-        out_pats.pop(v, None)
-    return sorted(in_pats.items()), sorted(out_pats.items())
+
+    nodes: tuple[int, ...]
+    adj: tuple[int, ...]
+    in_pats: list[tuple[int, int]]
+    out_pats: list[tuple[int, int]]
+    cost: int
+    i_options: tuple[int, ...]
+    o_options: tuple[int, ...]
+
+    def mask_pairs(self) -> list[tuple[int, int]]:
+        return [(i, o) for i in self.i_options for o in self.o_options]
 
 
 @lru_cache(maxsize=1 << 18)
 def _side_minima(patterns: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...]]:
     """Minimum cost over all masks for one boundary side, with every
-    minimizing mask.  ``patterns`` is the multiset of external bitmasks.
+    minimizing mask.  ``patterns`` is the sorted multiset of external
+    bitmasks.
 
     Each external costs the cheaper of its two repairs: rewiring it to the
     mask (the bits that differ) or detaching it (the bits it has).
@@ -80,23 +79,46 @@ def _side_minima(patterns: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...
     return best, tuple(argmin)
 
 
-def side_minima(patterns: list[tuple[int, int]], k: int) -> tuple[int, tuple[int, ...]]:
-    return _side_minima(tuple(sorted([m for _, m in patterns])), k)
+def analyze_set(graph: DiGraph, nodes: tuple[int, ...]) -> SetAnalysis:
+    """Read a node set out of the graph in one walk over its members' in-
+    and out-adjacency, then score every (i, o) mask pair.  The two sides
+    are independent, so the minimum-cost pairs are the product of the
+    per-side minimizers."""
+    k = len(nodes)
+    pos = {v: p for p, v in enumerate(nodes)}
+    adj = []
+    in_pats: dict[int, int] = {}
+    out_pats: dict[int, int] = {}
+    for p, v in enumerate(nodes):
+        bit = 1 << p
+        row = 0
+        for w in graph.out_adj[v]:
+            q = pos.get(w)
+            if q is None:
+                out_pats[w] = out_pats.get(w, 0) | bit
+            else:
+                row |= 1 << q
+        adj.append(row)
+        for u in graph.in_adj[v]:
+            in_pats[u] = in_pats.get(u, 0) | bit
+    for v in nodes:
+        in_pats.pop(v, None)
+    ic, iopts = _side_minima(tuple(sorted(in_pats.values())), k)
+    oc, oopts = _side_minima(tuple(sorted(out_pats.values())), k)
+    return SetAnalysis(
+        nodes, tuple(adj), sorted(in_pats.items()), sorted(out_pats.items()),
+        ic + oc, iopts, oopts,
+    )
 
 
-def boundary_edits(
-    nodes: tuple[int, ...],
-    in_pats: list[tuple[int, int]],
-    out_pats: list[tuple[int, int]],
-    i_mask: int,
-    o_mask: int,
-) -> list[EdgeEdit]:
-    """Edge toggles that make ``nodes``, with the given boundary patterns,
-    an exact occurrence of the mask pair.
+def boundary_edits(analysis: SetAnalysis, i_mask: int, o_mask: int) -> list[EdgeEdit]:
+    """Edge toggles that make the analysed set an exact occurrence of the
+    mask pair.
 
     Edits are listed externals-sorted, deletions before additions per
     external.
     """
+    nodes = analysis.nodes
     edits: list[EdgeEdit] = []
 
     def repair(pattern: int, mask: int, external: int, incoming: bool) -> None:
@@ -117,45 +139,11 @@ def boundary_edits(
             else:
                 edits.append(EdgeEdit(nodes[p], external, kind))
 
-    for u, pat in in_pats:
+    for u, pat in analysis.in_pats:
         repair(pat, i_mask, u, incoming=True)
-    for w, pat in out_pats:
+    for w, pat in analysis.out_pats:
         repair(pat, o_mask, w, incoming=False)
     return edits
-
-
-def edit_cost(
-    graph: DiGraph, nodes: tuple[int, ...], i_mask: int, o_mask: int
-) -> tuple[int, list[EdgeEdit]]:
-    """Edit count and explicit edit list for one mask pair: exactly the
-    edges toggled to make the set a cost-0 occurrence of the mask-defined
-    rule (see ``boundary_edits``)."""
-    in_pats, out_pats = boundary_patterns(graph, nodes)
-    edits = boundary_edits(nodes, in_pats, out_pats, i_mask, o_mask)
-    return len(edits), edits
-
-
-@dataclass
-class MaskAnalysis:
-    """Minimum-cost boundary matching for one node set."""
-
-    nodes: tuple[int, ...]
-    cost: int
-    i_options: tuple[int, ...]
-    o_options: tuple[int, ...]
-
-    def mask_pairs(self) -> list[tuple[int, int]]:
-        return [(i, o) for i in self.i_options for o in self.o_options]
-
-
-def analyze_set(graph: DiGraph, nodes: tuple[int, ...]) -> MaskAnalysis:
-    """Evaluate every (i, o) mask pair; the two sides are independent, so
-    the minimum-cost pairs are the product of the per-side minimizers."""
-    k = len(nodes)
-    in_pats, out_pats = boundary_patterns(graph, nodes)
-    ic, iopts = side_minima(in_pats, k)
-    oc, oopts = side_minima(out_pats, k)
-    return MaskAnalysis(nodes, ic + oc, iopts, oopts)
 
 
 # -- extraction-count prediction -------------------------------------------
@@ -175,35 +163,6 @@ class BitParams:
     C_edit: int
 
 
-def _level_of_n(table: list[CostLevel], n: int) -> tuple[int, int]:
-    """Index j reached extracting cheapest-first, and the count taken there."""
-    total = sum(lv.x for lv in table)
-    if not 1 <= n <= total:
-        raise NOutOfRange(f"n={n} outside 1..{total}")
-    consumed = 0
-    for j, lv in enumerate(table):
-        if n <= consumed + lv.x:
-            return j, n - consumed
-        consumed += lv.x
-    raise AssertionError("unreachable")
-
-
-def cost_of_n(table: list[CostLevel], params: BitParams, n: int) -> int:
-    """Predicted bits to perform ``n`` extractions of a rule, cheapest first."""
-    j, taken = _level_of_n(table, n)
-    bits = params.C_R + params.C_ID + n * params.C_node
-    bits += taken * table[j].c * params.C_edit
-    bits += sum(lv.x * lv.c * params.C_edit for lv in table[:j])
-    return bits
-
-
-def nodes_of_n(table: list[CostLevel], n: int) -> Fraction:
-    """Predicted node count removed by ``n`` extractions (may be fractional
-    inside a partially consumed level)."""
-    j, taken = _level_of_n(table, n)
-    return Fraction(taken, table[j].x) * table[j].n + sum(lv.n for lv in table[:j])
-
-
 def pcr(table: list[CostLevel], params: BitParams) -> tuple[Fraction, int]:
     """Best nodes-per-bit ratio over whole-level prefixes.
 
@@ -211,8 +170,6 @@ def pcr(table: list[CostLevel], params: BitParams) -> tuple[Fraction, int]:
     to the smallest prefix.  Prefixes compare by cross-multiplication (bit
     counts are positive); the winner is returned exactly as a rational.
     """
-    if not table:
-        raise NOutOfRange("empty cost table")
     best_nodes, best_bits, best_j = 0, 1, -1
     nodes = 0
     bits = params.C_R + params.C_ID

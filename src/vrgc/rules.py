@@ -42,7 +42,7 @@ class IdCollision(RuleError):
 @dataclass(frozen=True)
 class Rule:
     """Fragment adjacency plus boundary masks.  Immutable value type; the
-    library tracks frequency and discovery counts per rule id."""
+    library tracks frequency per rule id."""
 
     k: int
     adj: tuple[int, ...]
@@ -89,30 +89,6 @@ class Rule:
             for j in range(self.k)
             if self.adj[i] >> j & 1
         ]
-
-    def num_edges(self) -> int:
-        return sum(row.bit_count() for row in self.adj)
-
-
-def fragment_adj(graph: DiGraph, nodes: tuple[int, ...]) -> tuple[int, ...]:
-    """Adjacency rows of the subgraph induced by ``nodes``, over their
-    positions in the given order."""
-    pos = {v: i for i, v in enumerate(nodes)}
-    adj = []
-    for v in nodes:
-        row = 0
-        for w in graph.out_adj[v]:
-            p = pos.get(w)
-            if p is not None:
-                row |= 1 << p
-        adj.append(row)
-    return tuple(adj)
-
-
-def from_node_set(graph: DiGraph, nodes: tuple[int, ...], i_mask: int, o_mask: int) -> Rule:
-    """Build a rule from the subgraph induced by ``nodes`` (given in the
-    fixed order that the masks refer to)."""
-    return Rule(len(nodes), fragment_adj(graph, nodes), i_mask, o_mask)
 
 
 # -- canonicalization ------------------------------------------------------
@@ -196,11 +172,6 @@ def canonical_code(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> by
     return canonical_form(k, adj, i_mask, o_mask)[0]
 
 
-def canonical_rule(rule: Rule) -> Rule:
-    """The rule relabeled into its canonical position order."""
-    return rule_from_code(canonical_code(rule.k, rule.adj, rule.i_mask, rule.o_mask))
-
-
 def rule_from_code(code: bytes) -> Rule:
     k = code[0]
     i_mask = code[1]
@@ -213,46 +184,35 @@ def rule_from_code(code: bytes) -> Rule:
     return Rule(k, adj, i_mask, o_mask)
 
 
-def permute(rule: Rule, perm: tuple[int, ...]) -> Rule:
-    """Relabel the rule so new position ``n`` holds old position ``perm[n]``."""
-    adj = _relabel([rule.adj[old] for old in perm], perm)
-    i_mask, o_mask = _relabel((rule.i_mask, rule.o_mask), perm)
-    return Rule(rule.k, tuple(adj), i_mask, o_mask)
-
-
 # -- library ---------------------------------------------------------------
 
 
 class RuleLibrary:
     """Store of canonical rule codes with stable ids, in interning order.
 
-    ``discovery`` counts occurrences found during enumeration and drives the
-    ordering heuristic; ``frequency`` counts accepted extractions.  A code's
-    ``Rule`` is rebuilt with ``rule_from_code`` where one is needed.
+    ``frequency`` counts accepted extractions.  A code's ``Rule`` is rebuilt
+    with ``rule_from_code`` where one is needed.
     """
 
     def __init__(self):
         self.codes: list[bytes] = []
         self.index: dict[bytes, int] = {}
-        self.discovery: list[int] = []
         self.frequency: list[int] = []
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def intern_code(self, code: bytes) -> tuple[int, bool]:
-        """Map a canonical code to its stable id, creating it if new; bumps
-        the discovery count either way."""
+        """Map a canonical code to its stable id, creating it if new; the
+        flag says whether it was new."""
         rid = self.index.get(code)
-        if rid is None:
-            rid = len(self.codes)
-            self.index[code] = rid
-            self.codes.append(code)
-            self.discovery.append(1)
-            self.frequency.append(0)
-            return rid, True
-        self.discovery[rid] += 1
-        return rid, False
+        if rid is not None:
+            return rid, False
+        rid = len(self.codes)
+        self.index[code] = rid
+        self.codes.append(code)
+        self.frequency.append(0)
+        return rid, True
 
     @classmethod
     def from_codes(cls, codes: list[bytes]) -> "RuleLibrary":
@@ -260,8 +220,7 @@ class RuleLibrary:
 
         Each code is checked with ``rule_from_code`` (``RuleError`` if it is
         no valid rule).  Raises ``ValueError`` on a repeated code, which
-        would otherwise shift every later rule id.  Frequencies start at 0
-        and discovery counts at 1, as for freshly interned codes.
+        would otherwise shift every later rule id.  Frequencies start at 0.
         """
         library = cls()
         for code in codes:
@@ -274,8 +233,8 @@ class RuleLibrary:
         self.frequency[rid] += 1
 
     def ordered_ids(self) -> list[int]:
-        """Ids sorted by descending discovery count, stable on ties."""
-        return sorted(range(len(self.codes)), key=lambda r: (-self.discovery[r], r))
+        """Ids sorted by descending extraction frequency, then by id."""
+        return sorted(range(len(self.codes)), key=lambda r: (-self.frequency[r], r))
 
     def to_json_obj(self) -> dict:
         return {
@@ -287,7 +246,6 @@ class RuleLibrary:
                     "i_mask": [bool(rule.i_mask >> v & 1) for v in range(rule.k)],
                     "o_mask": [bool(rule.o_mask >> v & 1) for v in range(rule.k)],
                     "frequency": self.frequency[rid],
-                    "discovery": self.discovery[rid],
                 }
                 for rid, rule in enumerate(map(rule_from_code, self.codes))
             ],

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from vrgc.graphs import DiGraph
+from vrgc.mdl import BitParams, CostLevel
 
 # Six-node worked example used throughout: a=0, b=1, c=2, d=3, e=4, f=5.
 DEMO6_EDGES = [(0, 1), (1, 2), (1, 3), (2, 3), (3, 5), (4, 3)]
@@ -35,3 +37,60 @@ def brute_connected_sets(g: DiGraph, k_min: int, k_max: int) -> set:
             if g.is_weakly_connected(set(combo)):
                 found.add(combo)
     return found
+
+
+def naive_set_read(g: DiGraph, nodes: tuple) -> tuple:
+    """Set-based oracle for the graph reading of ``mdl.analyze_set``: the
+    induced adjacency rows and the sorted ``(external, mask)`` in- and
+    out-patterns, over the positions of ``nodes`` in the given order."""
+    members = set(nodes)
+    adj = tuple(
+        sum(1 << q for q, w in enumerate(nodes) if w in g.out_adj[v]) for v in nodes
+    )
+
+    def patterns(side: dict) -> list:
+        externals = set().union(*(side[v] for v in nodes)) - members
+        return sorted(
+            (x, sum(1 << p for p, v in enumerate(nodes) if x in side[v])) for x in externals
+        )
+
+    return adj, patterns(g.in_adj), patterns(g.out_adj)
+
+
+# -- extraction-count oracle ------------------------------------------------
+# ``mdl.pcr`` scores only whole-level prefixes; these give the predicted
+# bits and nodes for every extraction count n, which the tests maximise
+# exhaustively to check it.
+
+
+class NOutOfRange(Exception):
+    pass
+
+
+def _level_of_n(table: list[CostLevel], n: int) -> tuple[int, int]:
+    """Index j reached extracting cheapest-first, and the count taken there."""
+    total = sum(lv.x for lv in table)
+    if not 1 <= n <= total:
+        raise NOutOfRange(f"n={n} outside 1..{total}")
+    consumed = 0
+    for j, lv in enumerate(table):
+        if n <= consumed + lv.x:
+            return j, n - consumed
+        consumed += lv.x
+    raise AssertionError("unreachable")
+
+
+def cost_of_n(table: list[CostLevel], params: BitParams, n: int) -> int:
+    """Predicted bits to perform ``n`` extractions of a rule, cheapest first."""
+    j, taken = _level_of_n(table, n)
+    bits = params.C_R + params.C_ID + n * params.C_node
+    bits += taken * table[j].c * params.C_edit
+    bits += sum(lv.x * lv.c * params.C_edit for lv in table[:j])
+    return bits
+
+
+def nodes_of_n(table: list[CostLevel], n: int) -> Fraction:
+    """Predicted node count removed by ``n`` extractions (may be fractional
+    inside a partially consumed level)."""
+    j, taken = _level_of_n(table, n)
+    return Fraction(taken, table[j].x) * table[j].n + sum(lv.n for lv in table[:j])

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DEMO6_EDGES, brute_connected_sets
+from conftest import DEMO6_EDGES, brute_connected_sets, cost_of_n, nodes_of_n
 from vrgc.analysis import compression_rate, kl_divergence, rule_distribution
 from vrgc.engine import decode, extract, realized_application_bits, select_best
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
@@ -23,8 +23,6 @@ from vrgc.mdl import (
     b_application,
     b_graph,
     b_rule,
-    cost_of_n,
-    nodes_of_n,
     pcr,
 )
 from vrgc.rules import RuleLibrary, canonical_code, rule_from_code

@@ -64,25 +64,61 @@ def test_load_rejects_missing_fields(tmp_path, demo6):
         load_artifact(path)
 
 
+def shift_last_record(obj, by):
+    """Move the non-survivor ids of the artifact's last record by ``by``."""
+    record = obj["records"][-1]
+    survivor = min(record["node_ids"])
+    record["node_ids"] = [v if v == survivor else v + by for v in record["node_ids"]]
+
+
 @pytest.mark.parametrize(
-    "fault", ["duplicate", "rule_id_negative", "rule_id_past_end", "empty_code", "disconnected"]
+    "fault",
+    [
+        "duplicate",
+        "rule_id_negative",
+        "rule_id_past_end",
+        "empty_code",
+        "disconnected",
+        "node_ids_shifted",
+        "node_ids_repeated",
+        "node_ids_too_few",
+        "edit_position_negative",
+        "edit_position_past_k",
+        "edit_direction",
+    ],
 )
 def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     """A repeated code would shift every later rule id; a rule id outside
     the stored codes names no rule (a negative one would index from the
-    end); a truncated or disconnected code is no rule."""
+    end); a truncated or disconnected code is no rule.  A record must name
+    exactly ``k`` distinct node ids below ``n0`` (ids past it decode into
+    another graph), and its edits fragment positions ``0..k-1`` (a negative
+    one would index from the end) in the direction ``in`` or ``out``."""
     obj = result_to_obj(extract(demo6, ExtractConfig(k_min=2, k_max=3)))
     gram = obj["grammar"]
+    record = obj["records"][0]
     if fault == "duplicate":
         gram["codes"].insert(0, gram["codes"][-1])
     elif fault == "rule_id_negative":
-        obj["records"][0]["rule_id"] = -1
+        record["rule_id"] = -1
     elif fault == "rule_id_past_end":
-        obj["records"][0]["rule_id"] = len(gram["codes"])
+        record["rule_id"] = len(gram["codes"])
     elif fault == "empty_code":
         gram["codes"][0] = ""
-    else:
+    elif fault == "disconnected":
         gram["codes"][0] = "02000000"
+    elif fault == "node_ids_shifted":
+        shift_last_record(obj, 1000)
+    elif fault == "node_ids_repeated":
+        record["node_ids"][1] = record["node_ids"][0]
+    elif fault == "node_ids_too_few":
+        record["node_ids"].pop()
+    elif fault == "edit_position_negative":
+        record["edits"].append([-1, record["node_ids"][0], "in"])
+    elif fault == "edit_position_past_k":
+        record["edits"].append([len(record["node_ids"]), record["node_ids"][0], "in"])
+    else:
+        record["edits"].append([0, record["node_ids"][0], "both"])
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(ArtifactInvalid):
@@ -128,3 +164,4 @@ def test_schema_2_stores_used_rules_only(tmp_path, name):
         (r.rule_id, r.node_ids, r.edits) for r in loaded.records
     ]
     assert decode(loaded) == graph
+

@@ -81,6 +81,22 @@ def test_roundtrip_corrupted_artifact_exits_3(tmp_path, capsys):
     assert "mismatch" in err or "replay" in err
 
 
+def test_roundtrip_out_of_range_node_ids_exits_1(tmp_path, capsys):
+    """Record node ids moved past the id space are rejected on load, not
+    decoded into another graph."""
+    edges = write_demo(tmp_path)
+    out = tmp_path / "out"
+    assert main(["extract", "--input", str(edges), "--out", str(out)]) == 0
+    art = out / "artifact.json"
+    obj = json.loads(art.read_text())
+    record = obj["records"][-1]
+    survivor = min(record["node_ids"])
+    record["node_ids"] = [v if v == survivor else v + 1000 for v in record["node_ids"]]
+    art.write_text(json.dumps(obj))
+    assert main(["roundtrip", "--input", str(edges), "--artifact", str(art)]) == 1
+    assert "node ids" in capsys.readouterr().err
+
+
 def test_roundtrip_unreadable_artifact_exits_1(tmp_path):
     edges = write_demo(tmp_path)
     bad = tmp_path / "bad.json"

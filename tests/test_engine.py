@@ -50,7 +50,7 @@ def test_demo6_first_selection(demo6):
     assert choice.value == Fraction(6, 35)
     rule = rule_from_code(lib.codes[choice.rule_id])
     assert rule.k == 2
-    assert rule.num_edges() == 1
+    assert len(rule.edge_list()) == 1
     ((tail, head),) = rule.edge_list()
     assert rule.i_mask == 1 << head
     assert rule.o_mask == 1 << head

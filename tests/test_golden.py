@@ -2,9 +2,10 @@
 
 Each case hashes the grammar codes, the records (rule id, node ids and
 edits), the residual (id space, active nodes, edges) and the bit account.
-``runtime_seconds`` is left out, and so are the discovery counts, which
-the decoder never reads.  A speed-up must leave every hash as it is; a
-change that alters the output on purpose updates the table and says why.
+``runtime_seconds`` is left out, and so is the rule order of
+``grammar.json`` and ``report.json``, which the decoder never reads.  A
+speed-up must leave every hash as it is; a change that alters the output
+on purpose updates the table and says why.
 """
 
 import hashlib

@@ -5,25 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_connected_sets, random_digraph
+from conftest import (
+    NOutOfRange,
+    brute_connected_sets,
+    cost_of_n,
+    naive_set_read,
+    nodes_of_n,
+    random_digraph,
+)
 from vrgc.graphs import EditKind
 from vrgc.mdl import (
     BitParams,
     CostLevel,
-    NOutOfRange,
     analyze_set,
     b_application,
     b_graph,
     b_rule,
-    boundary_patterns,
+    boundary_edits,
     ceil_log2,
-    cost_of_n,
     default_params,
-    edit_cost,
-    nodes_of_n,
     pcr,
 )
-from vrgc.rules import from_node_set
+from vrgc.rules import Rule
+
+
+def edit_cost(graph, nodes, i_mask, o_mask):
+    """Edit count and edit list making ``nodes`` an exact occurrence of
+    the mask pair."""
+    edits = boundary_edits(analyze_set(graph, nodes), i_mask, o_mask)
+    return len(edits), edits
 
 
 def test_ceil_log2():
@@ -32,10 +42,30 @@ def test_ceil_log2():
         ceil_log2(0)
 
 
-def test_boundary_patterns(demo6):
-    in_pats, out_pats = boundary_patterns(demo6, (2, 3))
-    assert in_pats == [(1, 0b11), (4, 0b10)]
-    assert out_pats == [(5, 0b10)]
+def test_analyze_set_patterns(demo6):
+    analysis = analyze_set(demo6, (2, 3))
+    assert analysis.in_pats == [(1, 0b11), (4, 0b10)]
+    assert analysis.out_pats == [(5, 0b10)]
+    assert analysis.adj == (0b10, 0)
+
+
+def test_analyze_set_fragment(demo6):
+    rule = Rule(3, analyze_set(demo6, (1, 2, 3)).adj, 0b001, 0b100)
+    assert sorted(rule.edge_list()) == [(0, 1), (0, 2), (1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_analyze_set_reads_like_naive_oracle(seed):
+    """Adjacency rows and boundary patterns from the one-walk reader equal
+    a set-based computation, for members in any order, connected or not."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 9)
+    g = random_digraph(rng, n, rng.randrange(0, 3 * n))
+    for _ in range(5):
+        nodes = tuple(rng.sample(range(n), rng.randrange(1, min(n, 6) + 1)))
+        analysis = analyze_set(g, nodes)
+        assert (analysis.adj, analysis.in_pats, analysis.out_pats) == naive_set_read(g, nodes)
 
 
 # Minimum edit costs of the worked example's six pair sets.
@@ -79,7 +109,7 @@ def test_deletion_preferred_on_ties(demo6):
 
 def brute_min_cost(graph, nodes, i_mask, o_mask):
     """Independent oracle: per external, best of reaching mask or empty."""
-    in_pats, out_pats = boundary_patterns(graph, nodes)
+    _, in_pats, out_pats = naive_set_read(graph, nodes)
     total = 0
     for pats, mask in ((in_pats, i_mask), (out_pats, o_mask)):
         for _, pat in pats:
@@ -116,9 +146,9 @@ def best_candidates(graph, nodes):
     analysis = analyze_set(graph, ordered)
     out = []
     for i_mask, o_mask in analysis.mask_pairs():
-        cost, edits = edit_cost(graph, ordered, i_mask, o_mask)
-        assert cost == analysis.cost
-        out.append((from_node_set(graph, ordered, i_mask, o_mask), edits))
+        edits = boundary_edits(analysis, i_mask, o_mask)
+        assert len(edits) == analysis.cost
+        out.append((Rule(len(ordered), analysis.adj, i_mask, o_mask), edits))
     return out
 
 
@@ -137,7 +167,7 @@ def test_edits_produce_exact_occurrence(seed):
         edited = g.copy()
         for e in edits:
             edited.apply_edit(e)
-        in_pats, out_pats = boundary_patterns(edited, nodes)
+        _, in_pats, out_pats = naive_set_read(edited, nodes)
         for _, pat in in_pats:
             assert pat == rule.i_mask
         for _, pat in out_pats:

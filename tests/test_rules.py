@@ -16,9 +16,6 @@ from vrgc.rules import (
     apply_rule,
     canonical_code,
     canonical_form,
-    canonical_rule,
-    from_node_set,
-    permute,
     rule_from_code,
     rule_to_dot,
 )
@@ -39,6 +36,19 @@ def all_connected_rules(k):
         for i_mask in range(1 << k):
             for o_mask in range(1 << k):
                 yield Rule(k, base.adj, i_mask, o_mask)
+
+
+def permute(rule, perm):
+    """Relabel the rule so new position ``n`` holds old position ``perm[n]``."""
+    new_of = {old: new for new, old in enumerate(perm)}
+    adj = [0] * rule.k
+    for i, j in rule.edge_list():
+        adj[new_of[i]] |= 1 << new_of[j]
+
+    def mask(m):
+        return sum(1 << new_of[v] for v in range(rule.k) if m >> v & 1)
+
+    return Rule(rule.k, tuple(adj), mask(rule.i_mask), mask(rule.o_mask))
 
 
 def orbit(rule):
@@ -182,9 +192,9 @@ def test_canonical_form_rejects_invalid_fragments(fields):
 
 def test_canonical_rule_is_stable():
     rule = Rule(3, (2, 4, 0), 0b100, 0b001)
-    canon = canonical_rule(rule)
+    canon = rule_from_code(canonical_code(*astuple(rule)))
     assert canonical_code(*astuple(canon)) == canonical_code(*astuple(rule))
-    assert canonical_rule(canon) == canon
+    assert rule_from_code(canonical_code(*astuple(canon))) == canon
 
 
 def test_rule_code_roundtrip():
@@ -192,12 +202,6 @@ def test_rule_code_roundtrip():
     code = canonical_code(*astuple(rule))
     back = rule_from_code(code)
     assert canonical_code(*astuple(back)) == code
-
-
-def test_from_node_set(demo6):
-    rule = from_node_set(demo6, (1, 2, 3), 0b001, 0b100)
-    assert rule.k == 3
-    assert sorted(rule.edge_list()) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_library_intern_and_ordering():
@@ -210,10 +214,14 @@ def test_library_intern_and_ordering():
     rid_c, new_c = lib.intern_code(canonical_code(*astuple(c)))
     assert new_a and not new_b and new_c
     assert rid_a == rid_b != rid_c
-    assert lib.discovery[rid_a] == 2
-    assert lib.ordered_ids()[0] == rid_a
+    assert len(lib) == 2
+    assert lib.ordered_ids() == [rid_a, rid_c]  # no extractions: id order
     lib.record_extraction(rid_c)
     assert lib.frequency[rid_c] == 1
+    assert lib.ordered_ids() == [rid_c, rid_a]  # more frequent first
+    lib.record_extraction(rid_a)
+    assert lib.ordered_ids() == [rid_a, rid_c]  # equal frequency: id order
+    assert lib.to_json_obj()["order"] == [rid_a, rid_c]
 
 
 def test_apply_rule_rewires_boundary():

@@ -9,10 +9,11 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_set_read
 from vrgc import engine
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.mdl import CostLevel, analyze_set, default_params, pcr
-from vrgc.rules import RuleLibrary, canonical_code, from_node_set
+from vrgc.rules import Rule, RuleLibrary, canonical_code
 from vrgc.synth import gen_er
 
 
@@ -113,8 +114,9 @@ def assert_registered_like_oracle(state, graph):
     the first pair seen for each code."""
     for nodes, entry in state.entries.items():
         first = {}
+        adj = naive_set_read(graph, nodes)[0]
         for i_mask, o_mask in analyze_set(graph, nodes).mask_pairs():
-            rule = from_node_set(graph, nodes, i_mask, o_mask)
+            rule = Rule(len(nodes), adj, i_mask, o_mask)
             first.setdefault(canonical_code(*astuple(rule)), (i_mask, o_mask))
         assert entry.codes == list(first)
         assert entry.pairs == list(first.values())
