@@ -5,9 +5,9 @@ records use, the application records (rule id, node ids, edits) and the
 residual graph, together with the bit account and the manifest that
 produced the run.  Rule ids are renumbered on write: the used codes are
 stored in ascending order of their id in the extraction's library, and the
-records point into that list.  Rule frequencies and per-rule stats follow
-from the records and are rebuilt on load.  Keys are sorted on write so
-identical runs produce identical bytes.
+records point into that list.  Rule frequencies follow from the records
+and are rebuilt on load.  Keys are sorted on write so identical runs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .engine import ApplicationRecord, ExtractionResult
 from .enumeration import ExtractConfig
-from .graphs import DiGraph
+from .graphs import DiGraph, GraphError
 from .mdl import BitAccount
 from .rules import RuleError, RuleLibrary
 
@@ -78,10 +78,20 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
         library = RuleLibrary.from_codes([bytes.fromhex(c) for c in obj["grammar"]["codes"]])
         res = obj["residual"]
         records = [_record_from_obj(r, library, res["n0"]) for r in obj["records"]]
+        freed: set[int] = set()
+        for record in records:
+            ids = record.node_ids
+            if not freed.isdisjoint(ids):
+                raise ArtifactInvalid(f"record node ids {list(ids)} reuse a freed id")
+            freed.update(ids)
+            freed.remove(min(ids))
+        active = set(res["active"])
+        if active != set(range(res["n0"])) - freed:
+            raise ArtifactInvalid("residual active ids are not the ids that no record frees")
         for record in records:
             library.record_extraction(record.rule_id)
         residual = DiGraph(res["n0"])
-        residual.active = set(res["active"])
+        residual.active = active
         for u, v in res["edges"]:
             residual.add_edge(u, v)
         acct = obj["account"]
@@ -102,14 +112,15 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
         return result, obj.get("manifest", {})
     except ArtifactInvalid:
         raise
-    except (IndexError, KeyError, RuleError, TypeError, ValueError) as exc:
+    except (GraphError, IndexError, KeyError, RuleError, TypeError, ValueError) as exc:
         raise ArtifactInvalid(f"malformed artifact: {exc}") from exc
 
 
 def _record_from_obj(r: dict, library: RuleLibrary, n0: int) -> ApplicationRecord:
     """One stored record, checked against what replay trusts: a stored
     rule id, exactly ``k`` distinct node ids below ``n0``, and edits at
-    fragment positions ``0..k-1`` in a known direction."""
+    fragment positions ``0..k-1`` in a known direction, each to an id
+    below ``n0`` outside the fragment."""
     rid = r["rule_id"]
     if type(rid) is not int or not 0 <= rid < len(library):
         raise ArtifactInvalid(f"record names unknown rule id {rid!r}")
@@ -121,7 +132,10 @@ def _record_from_obj(r: dict, library: RuleLibrary, n0: int) -> ApplicationRecor
         raise ArtifactInvalid(f"record node ids {list(node_ids)} are not {k} distinct ids below {n0}")
     edits = tuple((p, e, d) for p, e, d in r["edits"])
     for p, e, d in edits:
-        if type(p) is not int or not 0 <= p < k or d not in ("in", "out"):
+        if (
+            type(p) is not int or not 0 <= p < k or d not in ("in", "out")
+            or type(e) is not int or not 0 <= e < n0 or e in node_ids
+        ):
             raise ArtifactInvalid(f"bad edit {[p, e, d]} in a record of a {k}-node rule")
     return ApplicationRecord(rule_id=rid, node_ids=node_ids, edits=edits)
 

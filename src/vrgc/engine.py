@@ -85,21 +85,6 @@ class ExtractionResult:
     def iterations(self) -> int:
         return len(self.records)
 
-    @property
-    def rule_stats(self) -> dict[int, dict]:
-        """Per used rule: extractions, their edit-cost histogram and edges
-        edited.  An occurrence's cost is the number of edits it needed."""
-        rule_stats: dict[int, dict] = {}
-        for record in self.records:
-            stats = rule_stats.setdefault(
-                record.rule_id, {"frequency": 0, "cost_histogram": {}, "edges_edited": 0}
-            )
-            cost = len(record.edits)
-            stats["frequency"] += 1
-            stats["cost_histogram"][cost] = stats["cost_histogram"].get(cost, 0) + 1
-            stats["edges_edited"] += cost
-        return rule_stats
-
 
 @dataclass(frozen=True)
 class Choice:
@@ -187,7 +172,8 @@ def select_best(
 
 
 def extract_one(graph: DiGraph, choice: Choice) -> ApplicationRecord:
-    """Apply the chosen occurrence in place and return its replay record."""
+    """Build the chosen occurrence's replay record, then apply it in
+    place: toggle its edits and collapse its nodes."""
     nodes = choice.nodes
     i_mask, o_mask = choice.pair
     analysis = analyze_set(graph, nodes)
@@ -197,18 +183,28 @@ def extract_one(graph: DiGraph, choice: Choice) -> ApplicationRecord:
             f"occurrence {nodes} scored {choice.cost} but costs {len(edits)} now"
         )
     _, perm = canonical_form(len(nodes), analysis.adj, i_mask, o_mask)
-    node_ids = tuple(nodes[old] for old in perm)
-    set_pos = {v: p for p, v in enumerate(nodes)}
     canon_pos = {old: new for new, old in enumerate(perm)}
-    packed = []
-    for e in edits:
-        if e.src in set_pos:
-            packed.append((canon_pos[set_pos[e.src]], e.dst, "out"))
-        else:
-            packed.append((canon_pos[set_pos[e.dst]], e.src, "in"))
-        graph.apply_edit(e)
+    record = ApplicationRecord(
+        choice.rule_id,
+        tuple(nodes[old] for old in perm),
+        tuple((canon_pos[p], external, d) for p, external, d in edits),
+    )
+    _toggle_edits(graph, record)
     graph.collapse(set(nodes))
-    return ApplicationRecord(choice.rule_id, node_ids, tuple(packed))
+    return record
+
+
+def _toggle_edits(graph: DiGraph, record: ApplicationRecord) -> None:
+    """Toggle a record's edits: extraction makes them and replay undoes
+    them with the same calls."""
+    for position, external, direction in record.edits:
+        member = record.node_ids[position]
+        if direction == "in":
+            graph.toggle_edge(external, member)
+        elif direction == "out":
+            graph.toggle_edge(member, external)
+        else:
+            raise CorruptRecord(f"bad edit direction {direction!r}")
 
 
 def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
@@ -311,14 +307,7 @@ def replay(
             rule = rules[record.rule_id] = rule_from_code(library.codes[record.rule_id])
         try:
             apply_rule(g, record.survivor, rule, record.node_ids)
-            for position, external, direction in record.edits:
-                member = record.node_ids[position]
-                if direction == "in":
-                    g.toggle_edge(external, member)
-                elif direction == "out":
-                    g.toggle_edge(member, external)
-                else:
-                    raise CorruptRecord(f"bad edit direction {direction!r}")
+            _toggle_edits(g, record)
         except CorruptRecord:
             raise
         except Exception as exc:

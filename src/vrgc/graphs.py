@@ -1,4 +1,4 @@
-"""Directed simple-graph representation with edit and collapse primitives.
+"""Directed simple-graph representation with toggle and collapse primitives.
 
 Node ids live in a fixed id space ``0..n0-1`` where ``n0`` is the original
 node count.  Collapsing a node set retires all but the smallest id, which
@@ -8,8 +8,6 @@ width stable for the bit accounting and makes decode addressing exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
 
 
@@ -21,32 +19,8 @@ class InactiveEndpoint(GraphError):
     pass
 
 
-class EditContradictsState(GraphError):
-    """Add on an existing edge, or Delete on a missing one."""
-
-
-class NotConnected(GraphError):
-    pass
-
-
-class TooSmall(GraphError):
-    pass
-
-
 class SelfLoopRejected(GraphError):
     """Raised at ingestion; self-loops are outside the model."""
-
-
-class EditKind(Enum):
-    ADD = "add"
-    DELETE = "delete"
-
-
-@dataclass(frozen=True)
-class EdgeEdit:
-    src: int
-    dst: int
-    kind: EditKind
 
 
 class DiGraph:
@@ -128,21 +102,9 @@ class DiGraph:
         self.out_adj[u].discard(v)
         self.in_adj[v].discard(u)
 
-    def apply_edit(self, edit: EdgeEdit) -> None:
-        """Flip one edge per the edit kind; toggle discipline is enforced."""
-        self._check_active(edit.src, edit.dst)
-        present = self.has_edge(edit.src, edit.dst)
-        if edit.kind is EditKind.ADD:
-            if present:
-                raise EditContradictsState(f"add of existing edge {edit.src}->{edit.dst}")
-            self.add_edge(edit.src, edit.dst)
-        else:
-            if not present:
-                raise EditContradictsState(f"delete of missing edge {edit.src}->{edit.dst}")
-            self.remove_edge(edit.src, edit.dst)
-
     def toggle_edge(self, u: int, v: int) -> None:
-        """Flip edge presence; the record replay primitive."""
+        """Flip edge presence; the one primitive that makes and undoes
+        every recorded edit."""
         if self.has_edge(u, v):
             self.remove_edge(u, v)
         else:
@@ -150,68 +112,34 @@ class DiGraph:
 
     # -- collapse ----------------------------------------------------------
 
-    def is_weakly_connected(self, nodes: set[int]) -> bool:
-        if not nodes:
-            return False
-        seen = set()
-        stack = [next(iter(nodes))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend((self.neighbors(v) & nodes) - seen)
-        return seen == nodes
-
-    def external_neighbors(
-        self, nodes: set[int]
-    ) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-        """Boundary maps of a node set.
-
-        ``in_map[u]`` is the exact subset of ``nodes`` that external node
-        ``u`` points into; ``out_map[w]`` is the subset of ``nodes`` pointing
-        at external node ``w``.
-        """
-        self._check_active(*nodes)
-        in_map: dict[int, set[int]] = {}
-        out_map: dict[int, set[int]] = {}
-        for v in nodes:
-            for u in self.in_adj[v]:
-                if u not in nodes:
-                    in_map.setdefault(u, set()).add(v)
-            for w in self.out_adj[v]:
-                if w not in nodes:
-                    out_map.setdefault(w, set()).add(v)
-        return in_map, out_map
-
     def collapse(self, nodes: set[int]) -> int:
         """Replace ``nodes`` by the single survivor (their smallest id).
 
         Every external node keeping at least one edge into the set ends up
         with exactly one edge to the survivor; symmetrically for out-edges.
-        Internal edges vanish and parallel boundary edges merge.
-        Returns the survivor id.
+        Internal edges vanish and parallel boundary edges merge.  The set
+        must be weakly connected with at least two members; the caller
+        checks that.  Returns the survivor id.
         """
-        if len(nodes) < 2:
-            raise TooSmall("collapse needs at least two nodes")
         self._check_active(*nodes)
-        if not self.is_weakly_connected(nodes):
-            raise NotConnected(f"collapse set {sorted(nodes)} is not weakly connected")
-        in_map, out_map = self.external_neighbors(nodes)
         survivor = min(nodes)
+        preds: set[int] = set()
+        succs: set[int] = set()
         for v in nodes:
-            for u in list(self.in_adj[v]):
+            for u in self.in_adj[v]:
                 self.out_adj[u].discard(v)
-            for w in list(self.out_adj[v]):
+            for w in self.out_adj[v]:
                 self.in_adj[w].discard(v)
-            self.out_adj[v].clear()
+            preds |= self.in_adj[v]
+            succs |= self.out_adj[v]
             self.in_adj[v].clear()
+            self.out_adj[v].clear()
             if v != survivor:
                 self.active.discard(v)
-        for u in in_map:
+        for u in preds - nodes:
             self.out_adj[u].add(survivor)
             self.in_adj[survivor].add(u)
-        for w in out_map:
+        for w in succs - nodes:
             self.out_adj[survivor].add(w)
             self.in_adj[w].add(survivor)
         return survivor

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import DiGraph, EdgeEdit, EditKind
+from .graphs import DiGraph
 
 
 def ceil_log2(x: int) -> int:
@@ -111,38 +111,28 @@ def analyze_set(graph: DiGraph, nodes: tuple[int, ...]) -> SetAnalysis:
     )
 
 
-def boundary_edits(analysis: SetAnalysis, i_mask: int, o_mask: int) -> list[EdgeEdit]:
-    """Edge toggles that make the analysed set an exact occurrence of the
-    mask pair.
+def boundary_edits(
+    analysis: SetAnalysis, i_mask: int, o_mask: int
+) -> list[tuple[int, int, str]]:
+    """Edge toggles ``(position, external, direction)`` that make the
+    analysed set an exact occurrence of the mask pair.  ``position``
+    indexes ``analysis.nodes``; ``direction`` is ``"in"`` for external ->
+    set.
 
-    Edits are listed externals-sorted, deletions before additions per
-    external.
+    Each external is detached when that costs no more than rewiring it to
+    the mask.  Edits are listed in-side first, then out-side, externals
+    ascending, and positions ascending per external.
     """
-    nodes = analysis.nodes
-    edits: list[EdgeEdit] = []
-
-    def repair(pattern: int, mask: int, external: int, incoming: bool) -> None:
-        rewire = (pattern ^ mask).bit_count()
-        detach = pattern.bit_count()
-        target = 0 if detach <= rewire else mask
-        for p in range(len(nodes)):
-            have = pattern >> p & 1
-            want = target >> p & 1
-            if have and not want:
-                kind = EditKind.DELETE
-            elif want and not have:
-                kind = EditKind.ADD
-            else:
-                continue
-            if incoming:
-                edits.append(EdgeEdit(external, nodes[p], kind))
-            else:
-                edits.append(EdgeEdit(nodes[p], external, kind))
-
-    for u, pat in analysis.in_pats:
-        repair(pat, i_mask, u, incoming=True)
-    for w, pat in analysis.out_pats:
-        repair(pat, o_mask, w, incoming=False)
+    edits = []
+    for pats, mask, direction in (
+        (analysis.in_pats, i_mask, "in"), (analysis.out_pats, o_mask, "out")
+    ):
+        for external, pat in pats:
+            rewire = pat ^ mask
+            flips = pat if pat.bit_count() <= rewire.bit_count() else rewire
+            edits.extend(
+                (p, external, direction) for p in range(len(analysis.nodes)) if flips >> p & 1
+            )
     return edits
 
 

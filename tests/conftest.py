@@ -28,13 +28,27 @@ def random_digraph(rng: random.Random, n: int, m: int) -> DiGraph:
     return g
 
 
+def is_weakly_connected(g: DiGraph, nodes: set[int]) -> bool:
+    if not nodes:
+        return False
+    seen = set()
+    stack = [next(iter(nodes))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend((g.neighbors(v) & nodes) - seen)
+    return seen == nodes
+
+
 def brute_connected_sets(g: DiGraph, k_min: int, k_max: int) -> set:
     """All-subsets filtering oracle for connected-set enumeration."""
     found = set()
     nodes = sorted(g.active)
     for k in range(k_min, k_max + 1):
         for combo in combinations(nodes, k):
-            if g.is_weakly_connected(set(combo)):
+            if is_weakly_connected(g, set(combo)):
                 found.add(combo)
     return found
 

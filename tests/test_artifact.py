@@ -85,6 +85,13 @@ def shift_last_record(obj, by):
         "edit_position_negative",
         "edit_position_past_k",
         "edit_direction",
+        "edit_external_member",
+        "record_repeated",
+        "freed_id_reused",
+        "residual_extra_active",
+        "residual_freed_active",
+        "residual_edge_to_freed",
+        "residual_self_loop",
     ],
 )
 def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
@@ -93,7 +100,13 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     end); a truncated or disconnected code is no rule.  A record must name
     exactly ``k`` distinct node ids below ``n0`` (ids past it decode into
     another graph), and its edits fragment positions ``0..k-1`` (a negative
-    one would index from the end) in the direction ``in`` or ``out``."""
+    one would index from the end) in the direction ``in`` or ``out``, each
+    to an external id below ``n0`` (one of the record's own ids would
+    toggle an edge inside the fragment).  No record may name an id that an
+    earlier one freed, to free it again or to keep it as survivor.  The
+    residual's active ids must be exactly the ids no record frees: an extra
+    active id or a freed id marked active decodes into another graph.  An
+    edge to a freed id or a self-loop is no residual edge."""
     obj = result_to_obj(extract(demo6, ExtractConfig(k_min=2, k_max=3)))
     gram = obj["grammar"]
     record = obj["records"][0]
@@ -117,8 +130,27 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
         record["edits"].append([-1, record["node_ids"][0], "in"])
     elif fault == "edit_position_past_k":
         record["edits"].append([len(record["node_ids"]), record["node_ids"][0], "in"])
-    else:
+    elif fault == "edit_direction":
         record["edits"].append([0, record["node_ids"][0], "both"])
+    elif fault == "edit_external_member":
+        record["edits"].append([0, record["node_ids"][1], "out"])
+    else:
+        residual = obj["residual"]
+        freed = max(record["node_ids"])
+        if fault == "record_repeated":
+            obj["records"].append(record)
+        elif fault == "freed_id_reused":
+            later = obj["records"][1]["node_ids"]
+            later[later.index(min(later))] = freed
+            assert min(later) == freed  # the survivor, so no id is freed twice
+        elif fault == "residual_extra_active":
+            residual["active"].append(residual["n0"] + 5)
+        elif fault == "residual_freed_active":
+            residual["active"].append(freed)
+        elif fault == "residual_edge_to_freed":
+            residual["edges"].append([residual["active"][0], freed])
+        else:
+            residual["edges"].append([residual["active"][0]] * 2)
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(ArtifactInvalid):
@@ -138,8 +170,8 @@ SCHEMA_2_CASES = {
 @pytest.mark.parametrize("name", sorted(SCHEMA_2_CASES))
 def test_schema_2_stores_used_rules_only(tmp_path, name):
     """The artifact keeps only the codes that the records use, in ascending
-    order of their in-memory id; loading rebuilds the frequencies and
-    per-rule stats under the new ids, and the result still decodes."""
+    order of their in-memory id; loading rebuilds the frequencies under
+    the new ids, and the result still decodes."""
     make, config = SCHEMA_2_CASES[name]
     graph = make()
     res = extract(graph, config)
@@ -158,7 +190,6 @@ def test_schema_2_stores_used_rules_only(tmp_path, name):
     new_id = {rid: i for i, rid in enumerate(used)}
     assert loaded.grammar.codes == [res.grammar.codes[rid] for rid in used]
     assert loaded.grammar.frequency == [res.grammar.frequency[rid] for rid in used]
-    assert loaded.rule_stats == {new_id[rid]: st for rid, st in res.rule_stats.items()}
     assert loaded.account == res.account
     assert [(new_id[r.rule_id], r.node_ids, r.edits) for r in res.records] == [
         (r.rule_id, r.node_ids, r.edits) for r in loaded.records

@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import vrgc
 from vrgc.cli import main
 from conftest import DEMO6_EDGES
 
@@ -71,11 +76,17 @@ def test_roundtrip_corrupted_artifact_exits_3(tmp_path, capsys):
     art = out / "artifact.json"
     obj = json.loads(art.read_text())
     # drop the earliest record so the decoded graph stays partially collapsed
-    obj["records"] = obj["records"][1:]
+    dropped = obj["records"].pop(0)
     art.write_text(json.dumps(obj))
-    code = main(
-        ["roundtrip", "--input", str(edges), "--artifact", str(art), "--out", str(out)]
-    )
+    argv = ["roundtrip", "--input", str(edges), "--artifact", str(art), "--out", str(out)]
+    # the ids it freed are then neither freed nor active, which the loader sees
+    assert main(argv) == 1
+    assert "residual active ids" in capsys.readouterr().err
+    # marked active, they load, and decode into another graph
+    survivor = min(dropped["node_ids"])
+    obj["residual"]["active"] += [v for v in dropped["node_ids"] if v != survivor]
+    art.write_text(json.dumps(obj))
+    code = main(argv)
     assert code == 3
     err = capsys.readouterr().err
     assert "mismatch" in err or "replay" in err
@@ -95,6 +106,28 @@ def test_roundtrip_out_of_range_node_ids_exits_1(tmp_path, capsys):
     art.write_text(json.dumps(obj))
     assert main(["roundtrip", "--input", str(edges), "--artifact", str(art)]) == 1
     assert "node ids" in capsys.readouterr().err
+
+
+def test_roundtrip_residual_edge_to_freed_id_exits_1(tmp_path):
+    """A residual edge to an id that a record frees is rejected on load:
+    the command, run in a process of its own, prints an error line and no
+    traceback."""
+    edges = write_demo(tmp_path)
+    out = tmp_path / "out"
+    assert main(["extract", "--input", str(edges), "--out", str(out)]) == 0
+    art = out / "artifact.json"
+    obj = json.loads(art.read_text())
+    freed = max(obj["records"][0]["node_ids"])
+    obj["residual"]["edges"].append([obj["residual"]["active"][0], freed])
+    art.write_text(json.dumps(obj))
+    env = dict(os.environ, PYTHONPATH=str(Path(vrgc.__file__).resolve().parents[1]))
+    argv = ["roundtrip", "--input", str(edges), "--artifact", str(art)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "vrgc.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_roundtrip_unreadable_artifact_exits_1(tmp_path):

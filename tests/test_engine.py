@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,17 +16,19 @@ from conftest import random_digraph
 from vrgc.artifact import result_from_obj, result_to_obj
 from vrgc.engine import (
     ApplicationRecord,
+    Choice,
     CorruptRecord,
     decode,
     extract,
+    extract_one,
     realized_application_bits,
     replay,
     select_best,
 )
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
-from vrgc.mdl import b_graph, b_rule
-from vrgc.rules import RuleLibrary, rule_from_code
+from vrgc.mdl import analyze_set, b_graph, b_rule
+from vrgc.rules import RuleError, RuleLibrary, rule_from_code
 from vrgc.synth import gen_binary_tree, gen_er
 
 
@@ -41,8 +44,6 @@ def first_choice(graph, cfg):
 def test_demo6_first_selection(demo6):
     """The winning pair rule marks the edge head on both sides, occurs at
     costs {0,0,1,2}, and is first extracted at (0,1)."""
-    from fractions import Fraction
-
     state, lib, choice = first_choice(demo6, ExtractConfig(k_min=2, k_max=2, shortcut_s=None))
     assert choice is not None
     assert choice.nodes == (0, 1)
@@ -182,7 +183,6 @@ def test_mdl_stop_keeps_cheapest_prefix(graph):
     assert stopped.account.compressed_bits == min(running) == running[count]
     assert min(running[:count], default=math.inf) > running[count]
     assert sum(stopped.grammar.frequency) == count
-    assert sum(st["frequency"] for st in stopped.rule_stats.values()) == count
 
 
 def test_extraction_independent_of_hash_seed():
@@ -209,13 +209,16 @@ def test_extraction_independent_of_hash_seed():
     assert len(json.loads(outputs[0])["records"]) > 0
 
 
-def test_rule_stats(demo6):
-    res = extract(demo6, ExtractConfig(k_min=2, k_max=2, shortcut_s=None))
-    total = sum(st["frequency"] for st in res.rule_stats.values())
-    assert total == res.iterations
-    for rid, stats in res.rule_stats.items():
-        assert res.grammar.frequency[rid] == stats["frequency"]
-        assert sum(stats["cost_histogram"].values()) == stats["frequency"]
+def test_extract_one_rejects_disconnected_set_before_editing(demo6):
+    """``collapse`` trusts its caller: a disconnected set is rejected when
+    ``extract_one`` builds its canonical form, before any edit or collapse."""
+    nodes = (0, 5)
+    analysis = analyze_set(demo6, nodes)
+    choice = Choice(0, b"", Fraction(1), nodes, analysis.mask_pairs()[0], analysis.cost)
+    before = demo6.copy()
+    with pytest.raises(RuleError):
+        extract_one(demo6, choice)
+    assert demo6 == before
 
 
 def test_replay_rejects_bad_rule_id(demo6):

@@ -13,7 +13,6 @@ from conftest import (
     nodes_of_n,
     random_digraph,
 )
-from vrgc.graphs import EditKind
 from vrgc.mdl import (
     BitParams,
     CostLevel,
@@ -89,22 +88,24 @@ def test_demo6_head_rule_match(demo6):
     (2,3) at cost 1: external 1 is rewired by deleting its edge into 2."""
     cost, edits = edit_cost(demo6, (2, 3), 0b10, 0b10)
     assert cost == 1
-    assert len(edits) == 1
-    assert (edits[0].src, edits[0].dst, edits[0].kind) == (1, 2, EditKind.DELETE)
+    assert edits == [(0, 1, "in")]
+    assert demo6.has_edge(1, 2)  # the toggle deletes
     # with both positions marked on the in-side, the tie at external 4
     # resolves to detaching it
     cost2, edits2 = edit_cost(demo6, (2, 3), 0b11, 0b10)
     assert cost2 == 1
-    assert (edits2[0].src, edits2[0].dst, edits2[0].kind) == (4, 3, EditKind.DELETE)
+    assert edits2 == [(1, 4, "in")]
+    assert demo6.has_edge(4, 3)
 
 
 def test_deletion_preferred_on_ties(demo6):
-    # External 4 has one boundary edge into (2,3); rewiring to mask 0b01
-    # and detaching both cost 1, so the edit must be the deletion.
+    # External 4 has one boundary edge into (2,3), at position 1; detaching
+    # it costs 1 and rewiring it to mask 0b01 costs 2, so the edit must be
+    # the deletion.  The tie itself is in test_demo6_head_rule_match.
     cost, edits = edit_cost(demo6, (2, 3), 0b01, 0b10)
-    dels = [e for e in edits if e.kind is EditKind.DELETE]
-    assert any((e.src, e.dst) == (4, 3) for e in dels)
-    assert not any(e.kind is EditKind.ADD and e.dst == 3 and e.src == 4 for e in edits)
+    external_4 = [e for e in edits if e[1] == 4]
+    assert external_4 == [(1, 4, "in")]
+    assert demo6.has_edge(4, 3)  # so the one toggle of external 4 deletes
 
 
 def brute_min_cost(graph, nodes, i_mask, o_mask):
@@ -165,8 +166,11 @@ def test_edits_produce_exact_occurrence(seed):
     nodes = sets[rng.randrange(len(sets))]
     for rule, edits in best_candidates(g, nodes):
         edited = g.copy()
-        for e in edits:
-            edited.apply_edit(e)
+        for p, external, direction in edits:
+            if direction == "in":
+                edited.toggle_edge(external, nodes[p])
+            else:
+                edited.toggle_edge(nodes[p], external)
         _, in_pats, out_pats = naive_set_read(edited, nodes)
         for _, pat in in_pats:
             assert pat == rule.i_mask
