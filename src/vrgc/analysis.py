@@ -1,4 +1,4 @@
-"""Compression-rate reporting and rule-distribution comparison.
+"""Run reporting and rule-distribution comparison.
 
 Distributions are keyed by canonical rule code so that structurally equal
 rules extracted from different graphs line up.  Divergence uses add-one
@@ -15,14 +15,6 @@ from .rules import RuleLibrary
 
 class EmptyGrammar(Exception):
     pass
-
-
-def compression_rate(account) -> float:
-    """1 minus the compressed-to-original bits ratio; negative when the
-    model costs more than the raw encoding."""
-    if account.original_bits <= 0:
-        raise ValueError("original encoding must be positive")
-    return 1.0 - account.compressed_bits / account.original_bits
 
 
 @dataclass

@@ -6,8 +6,10 @@ residual graph, together with the bit account and the manifest that
 produced the run.  Rule ids are renumbered on write: the used codes are
 stored in ascending order of their id in the extraction's library, and the
 records point into that list.  Rule frequencies follow from the records
-and are rebuilt on load.  Keys are sorted on write so identical runs
-produce identical bytes.
+and are rebuilt on load.  So does the bit account: the loader keeps only
+``original_bits`` from the file, and rejects a stored account that differs
+from the one the codes, records and residual give.  Keys are sorted on
+write so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .engine import ApplicationRecord, ExtractionResult
+from .engine import ApplicationRecord, ExtractionResult, bit_account
 from .enumeration import ExtractConfig
 from .graphs import DiGraph, GraphError
-from .mdl import BitAccount
 from .rules import RuleError, RuleLibrary
 
 SCHEMA_VERSION = 2
@@ -83,8 +84,7 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
             ids = record.node_ids
             if not freed.isdisjoint(ids):
                 raise ArtifactInvalid(f"record node ids {list(ids)} reuse a freed id")
-            freed.update(ids)
-            freed.remove(min(ids))
+            freed.update(record.freed_ids)
         active = set(res["active"])
         if active != set(range(res["n0"])) - freed:
             raise ArtifactInvalid("residual active ids are not the ids that no record frees")
@@ -94,13 +94,9 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
         residual.active = active
         for u, v in res["edges"]:
             residual.add_edge(u, v)
-        acct = obj["account"]
-        account = BitAccount(
-            original_bits=acct["original_bits"],
-            rule_bits=acct["rule_bits"],
-            application_bits=acct["application_bits"],
-            residual_bits=acct["residual_bits"],
-        )
+        account = bit_account(records, library.codes, residual, obj["account"]["original_bits"])
+        if account.to_json_obj() != obj["account"]:
+            raise ArtifactInvalid("stored bit account differs from the one the artifact gives")
         result = ExtractionResult(
             grammar=library,
             records=records,

@@ -19,6 +19,7 @@ from .artifact import ArtifactInvalid, load_artifact, save_artifact
 from .engine import CorruptRecord, decode, extract
 from .enumeration import ConfigInvalid, ExtractConfig
 from .graphs import DiGraph, GraphError, parse_edge_list
+from .mdl import compression_rate
 from .rules import rule_from_code, rule_to_dot
 from .synth import NoiseConfig, ParamInvalid
 
@@ -171,7 +172,7 @@ def cmd_extract(args) -> int:
     result = extract(graph, make_config(args))
     manifest = manifest_from_args(args)
     _write_outputs(args, result, manifest)
-    rate = analysis.compression_rate(result.account)
+    rate = compression_rate(result.account)
     print(
         f"extracted {result.iterations} applications of "
         f"{sum(1 for f in result.grammar.frequency if f)} rules; "
@@ -290,7 +291,7 @@ def cmd_sweep(args) -> int:
             {
                 "param": args.axis,
                 "value": value,
-                "compression_rate": analysis.compression_rate(result.account),
+                "compression_rate": compression_rate(result.account),
                 "runtime_seconds": round(elapsed, 6),
                 "rules": sum(1 for f in result.grammar.frequency if f),
                 "extractions": result.iterations,

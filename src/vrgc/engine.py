@@ -16,7 +16,8 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import accumulate
+from typing import Iterator, Optional
 
 from .enumeration import (
     ConfigInvalid,
@@ -68,8 +69,7 @@ class ApplicationRecord:
 
     @property
     def freed_ids(self) -> tuple[int, ...]:
-        s = self.survivor
-        return tuple(sorted(v for v in self.node_ids if v != s))
+        return tuple(sorted(self.node_ids)[1:])
 
 
 @dataclass
@@ -220,22 +220,17 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
     for _ in enumerate_connected_sets(g, config, cost_probe=probe):
         pass
     records: list[ApplicationRecord] = []
-    # With ``mdl_stop``, bits[p] is the whole encoding's size after the
-    # first p records: rules used, applications and the residual.
-    bits = [b_graph(n0, original_edges)]
-    written = 0
+    original_bits = b_graph(n0, original_edges)
+    # With ``mdl_stop``, residual_bits[p] is the residual's size after the
+    # first p records.
+    residual_bits = [original_bits]
     while True:
         choice = select_best(state, library, n0)
         if choice is None:
             break
         record = extract_one(g, choice)
         if config.mdl_stop:
-            k = choice.code[0]
-            same = bool(records) and records[-1].rule_id == choice.rule_id
-            written += b_application(k, len(record.edits), n0, same_rule_as_previous=same)
-            if library.frequency[choice.rule_id] == 0:
-                written += b_rule(k, n0)
-            bits.append(written + b_graph(g.num_nodes(), g.num_edges()))
+            residual_bits.append(b_graph(g.num_nodes(), g.num_edges()))
         library.record_extraction(choice.rule_id)
         records.append(record)
         # Every pre-edit external either keeps an edge to the survivor or
@@ -246,44 +241,54 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
         update_after_extraction(state, g, affected, config, library)
     if config.mdl_stop:
         # Keep the shortest prefix with the fewest bits; undo the rest.
-        keep = bits.index(min(bits))
+        written = accumulate(map(sum, record_bits(records, library.codes, n0)), initial=0)
+        totals = [w + r for w, r in zip(written, residual_bits)]
+        keep = totals.index(min(totals))
         if keep < len(records):
             g = replay(g, records[keep:], library)
             for record in records[keep:]:
                 library.frequency[record.rule_id] -= 1
             del records[keep:]
-    account = BitAccount(
-        original_bits=b_graph(n0, original_edges),
-        rule_bits=sum(
-            b_rule(code[0], n0)
-            for code, frequency in zip(library.codes, library.frequency)
-            if frequency > 0
-        ),
-        application_bits=realized_application_bits(records, library, n0),
-        residual_bits=b_graph(g.num_nodes(), g.num_edges()),
-    )
     return ExtractionResult(
         grammar=library,
         records=records,
         residual=g,
-        account=account,
+        account=bit_account(records, library.codes, g, original_bits),
         config=config,
         runtime_seconds=time.perf_counter() - started,
     )
 
 
-def realized_application_bits(
-    records: list[ApplicationRecord], library: RuleLibrary, n0: int
-) -> int:
-    bits = 0
+def record_bits(
+    records: list[ApplicationRecord], codes: list[bytes], n0: int
+) -> Iterator[tuple[int, int]]:
+    """Each record's rule bits and application bits, in record order.  A
+    rule's definition is charged to the first record that uses it, and a
+    record writes its rule id only when the previous record used another
+    rule."""
+    defined: set[int] = set()
     previous = None
     for record in records:
-        k = library.codes[record.rule_id][0]
-        bits += b_application(
-            k, len(record.edits), n0, same_rule_as_previous=record.rule_id == previous
-        )
-        previous = record.rule_id
-    return bits
+        rid = record.rule_id
+        k = codes[rid][0]
+        rule = 0 if rid in defined else b_rule(k, n0)
+        defined.add(rid)
+        yield rule, b_application(k, len(record.edits), n0, same_rule_as_previous=rid == previous)
+        previous = rid
+
+
+def bit_account(
+    records: list[ApplicationRecord], codes: list[bytes], residual: DiGraph, original_bits: int
+) -> BitAccount:
+    """The encoding's bit account: the rules the records use, their
+    applications and the residual graph, against ``original_bits``."""
+    bits = list(record_bits(records, codes, residual.n0))
+    return BitAccount(
+        original_bits=original_bits,
+        rule_bits=sum(rule for rule, _ in bits),
+        application_bits=sum(application for _, application in bits),
+        residual_bits=b_graph(residual.num_nodes(), residual.num_edges()),
+    )
 
 
 def decode(result: ExtractionResult) -> DiGraph:

@@ -33,17 +33,17 @@ class SetAnalysis:
     """One node set read out of the graph, over the positions of ``nodes``.
 
     ``adj`` holds the induced fragment's adjacency rows (bit ``j`` of
-    ``adj[i]`` is the edge ``nodes[i] -> nodes[j]``).  ``in_pats`` holds
-    sorted ``(external, mask)`` pairs where bit ``p`` of ``mask`` means the
-    external points at ``nodes[p]``; ``out_pats`` likewise for edges out of
-    the set.  ``cost`` is the minimum boundary edit cost, reached by every
-    pair of ``i_options`` and ``o_options``.
+    ``adj[i]`` is the edge ``nodes[i] -> nodes[j]``).  ``in_pats`` maps
+    each external to a mask where bit ``p`` means the external points at
+    ``nodes[p]``; ``out_pats`` likewise for edges out of the set.
+    ``cost`` is the minimum boundary edit cost, reached by every pair of
+    ``i_options`` and ``o_options``.
     """
 
     nodes: tuple[int, ...]
     adj: tuple[int, ...]
-    in_pats: list[tuple[int, int]]
-    out_pats: list[tuple[int, int]]
+    in_pats: dict[int, int]
+    out_pats: dict[int, int]
     cost: int
     i_options: tuple[int, ...]
     o_options: tuple[int, ...]
@@ -105,10 +105,7 @@ def analyze_set(graph: DiGraph, nodes: tuple[int, ...]) -> SetAnalysis:
         in_pats.pop(v, None)
     ic, iopts = _side_minima(tuple(sorted(in_pats.values())), k)
     oc, oopts = _side_minima(tuple(sorted(out_pats.values())), k)
-    return SetAnalysis(
-        nodes, tuple(adj), sorted(in_pats.items()), sorted(out_pats.items()),
-        ic + oc, iopts, oopts,
-    )
+    return SetAnalysis(nodes, tuple(adj), in_pats, out_pats, ic + oc, iopts, oopts)
 
 
 def boundary_edits(
@@ -127,7 +124,7 @@ def boundary_edits(
     for pats, mask, direction in (
         (analysis.in_pats, i_mask, "in"), (analysis.out_pats, o_mask, "out")
     ):
-        for external, pat in pats:
+        for external, pat in sorted(pats.items()):
             rewire = pat ^ mask
             flips = pat if pat.bit_count() <= rewire.bit_count() else rewire
             edits.extend(
@@ -189,22 +186,24 @@ def b_rule(k: int, n0: int) -> int:
 
 def b_application(k: int, m: int, n0: int, same_rule_as_previous: bool) -> int:
     """Bits to record one application of a k-node rule with ``m`` edits."""
-    bits = 2 + ceil_log2(n0) + m * (ceil_log2(k) + ceil_log2(n0) + 1)
+    width = ceil_log2(n0)
+    bits = 2 + width + m * (ceil_log2(k) + width + 1)
     if not same_rule_as_previous:
-        bits += ceil_log2(n0)
+        bits += width
     return bits
 
 
 @lru_cache(maxsize=256)
 def default_params(k: int, n0: int, rule_already_defined: bool) -> BitParams:
-    """Prediction parameters aligned with the realized application encoding:
-    the 2-bit per-application opcode is folded into the per-node cost."""
-    width = ceil_log2(n0)
+    """Prediction parameters read off the realized encoding: a run of
+    applications of one rule writes its id once (``C_ID``), and each
+    application costs ``C_node`` plus ``C_edit`` per edit."""
+    repeat = b_application(k, 0, n0, same_rule_as_previous=True)
     return BitParams(
         C_R=0 if rule_already_defined else b_rule(k, n0),
-        C_ID=width,
-        C_node=width + 2,
-        C_edit=ceil_log2(k) + width + 1,
+        C_ID=b_application(k, 0, n0, same_rule_as_previous=False) - repeat,
+        C_node=repeat,
+        C_edit=b_application(k, 1, n0, same_rule_as_previous=True) - repeat,
     )
 
 
@@ -220,8 +219,6 @@ class BitAccount:
         return self.rule_bits + self.application_bits + self.residual_bits
 
     def to_json_obj(self) -> dict:
-        from .analysis import compression_rate
-
         return {
             "original_bits": self.original_bits,
             "rule_bits": self.rule_bits,
@@ -230,3 +227,11 @@ class BitAccount:
             "compressed_bits": self.compressed_bits,
             "compression_rate": compression_rate(self),
         }
+
+
+def compression_rate(account: BitAccount) -> float:
+    """1 minus the compressed-to-original bits ratio; negative when the
+    model costs more than the raw encoding."""
+    if account.original_bits <= 0:
+        raise ValueError("original encoding must be positive")
+    return 1.0 - account.compressed_bits / account.original_bits

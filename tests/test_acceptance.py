@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import DEMO6_EDGES, brute_connected_sets, cost_of_n, nodes_of_n
-from vrgc.analysis import compression_rate, kl_divergence, rule_distribution
-from vrgc.engine import decode, extract, realized_application_bits, select_best
+from vrgc.analysis import kl_divergence, rule_distribution
+from vrgc.engine import decode, extract, record_bits, select_best
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
 from vrgc.mdl import (
@@ -23,6 +23,7 @@ from vrgc.mdl import (
     b_application,
     b_graph,
     b_rule,
+    compression_rate,
     pcr,
 )
 from vrgc.rules import RuleLibrary, canonical_code, rule_from_code
@@ -144,8 +145,8 @@ def test_criterion_5_bit_formulas_and_realized_identity():
             res = extract(g, cfg)
             assert decode(res) == g
             lib = res.grammar
-            assert res.account.application_bits == realized_application_bits(
-                res.records, lib, g.n0
+            assert res.account.application_bits == sum(
+                application for _, application in record_bits(res.records, lib.codes, g.n0)
             )
             assert res.account.rule_bits == sum(
                 b_rule(lib.codes[rid][0], g.n0)

@@ -5,14 +5,13 @@ import pytest
 
 from vrgc.analysis import (
     EmptyGrammar,
-    compression_rate,
     kl_divergence,
     rank_interesting,
     rule_distribution,
 )
 from vrgc.engine import extract
 from vrgc.enumeration import ExtractConfig
-from vrgc.mdl import BitAccount
+from vrgc.mdl import BitAccount, compression_rate
 from vrgc.rules import Rule, RuleLibrary, canonical_code
 
 

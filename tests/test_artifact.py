@@ -8,6 +8,7 @@ from vrgc.artifact import (
     result_to_obj,
     save_artifact,
 )
+from vrgc.cli import main
 from vrgc.engine import decode, extract
 from vrgc.enumeration import ExtractConfig
 from vrgc.synth import gen_binary_tree, gen_er
@@ -155,6 +156,35 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     path.write_text(json.dumps(obj))
     with pytest.raises(ArtifactInvalid):
         load_artifact(path)
+
+
+TREE_127_K5 = ["--generator", "bintree", "--nodes", "127", "--kmax", "5"]
+
+
+@pytest.fixture(scope="module")
+def tree_artifact(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tree")
+    assert main(["extract", *TREE_127_K5, "--out", str(out)]) == 0
+    return out / "artifact.json"
+
+
+@pytest.mark.parametrize(
+    "figure",
+    ["rule_bits", "application_bits", "residual_bits", "compressed_bits", "compression_rate"],
+)
+def test_load_rejects_tampered_account(tmp_path, tree_artifact, figure):
+    """Every stored figure of the bit account but ``original_bits`` follows
+    from the codes, the records and the residual.  One set to 0 (with
+    ``rule_bits``, ``compressed_bits`` read 312 instead of 381) is rejected
+    on load, and ``vrgc roundtrip`` exits 1 on it."""
+    obj = json.loads(tree_artifact.read_text())
+    assert obj["account"][figure] != 0
+    obj["account"][figure] = 0
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ArtifactInvalid, match="bit account"):
+        load_artifact(path)
+    assert main(["roundtrip", *TREE_127_K5, "--artifact", str(path)]) == 1
 
 
 SCHEMA_2_CASES = {

@@ -6,7 +6,9 @@ import sys
 from pathlib import Path
 
 import vrgc
+from vrgc.artifact import load_artifact
 from vrgc.cli import main
+from vrgc.engine import bit_account
 from conftest import DEMO6_EDGES
 
 
@@ -75,6 +77,7 @@ def test_roundtrip_corrupted_artifact_exits_3(tmp_path, capsys):
     assert main(["extract", "--input", str(edges), "--out", str(out)]) == 0
     art = out / "artifact.json"
     obj = json.loads(art.read_text())
+    loaded, _ = load_artifact(art)
     # drop the earliest record so the decoded graph stays partially collapsed
     dropped = obj["records"].pop(0)
     art.write_text(json.dumps(obj))
@@ -82,9 +85,18 @@ def test_roundtrip_corrupted_artifact_exits_3(tmp_path, capsys):
     # the ids it freed are then neither freed nor active, which the loader sees
     assert main(argv) == 1
     assert "residual active ids" in capsys.readouterr().err
-    # marked active, they load, and decode into another graph
+    # marked active, they no longer match the stored bit account
     survivor = min(dropped["node_ids"])
     obj["residual"]["active"] += [v for v in dropped["node_ids"] if v != survivor]
+    art.write_text(json.dumps(obj))
+    assert main(argv) == 1
+    assert "bit account" in capsys.readouterr().err
+    # with the account that the edited records and residual give, they
+    # load, and decode into another graph
+    loaded.residual.active.update(v for v in dropped["node_ids"] if v != survivor)
+    obj["account"] = bit_account(
+        loaded.records[1:], loaded.grammar.codes, loaded.residual, loaded.account.original_bits
+    ).to_json_obj()
     art.write_text(json.dumps(obj))
     code = main(argv)
     assert code == 3

@@ -21,13 +21,13 @@ from vrgc.engine import (
     decode,
     extract,
     extract_one,
-    realized_application_bits,
+    record_bits,
     replay,
     select_best,
 )
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
-from vrgc.mdl import analyze_set, b_graph, b_rule
+from vrgc.mdl import analyze_set, b_application, b_graph, b_rule
 from vrgc.rules import RuleError, RuleLibrary, rule_from_code
 from vrgc.synth import gen_binary_tree, gen_er
 
@@ -116,7 +116,9 @@ def test_realized_bits_identity():
     g = gen_binary_tree(63)
     res = extract(g, ExtractConfig(k_min=2, k_max=4, shortcut_s=1))
     lib = res.grammar
-    assert res.account.application_bits == realized_application_bits(res.records, lib, g.n0)
+    assert res.account.application_bits == sum(
+        application for _, application in record_bits(res.records, lib.codes, g.n0)
+    )
     assert res.account.rule_bits == sum(
         b_rule(lib.codes[rid][0], g.n0) for rid in range(len(lib)) if lib.frequency[rid]
     )
@@ -150,7 +152,8 @@ def test_mdl_stop_shrinks_record_count():
 
 
 def prefix_bits(full, n0):
-    """The whole encoding's size after each prefix of ``full.records``."""
+    """The whole encoding's size after each prefix of ``full.records``,
+    with every prefix's residual rebuilt by replay."""
     lib = full.grammar
     residuals = [full.residual]
     for record in reversed(full.records):
@@ -160,9 +163,13 @@ def prefix_bits(full, n0):
     for p, residual in enumerate(residuals):
         records = full.records[:p]
         used = {r.rule_id for r in records}
+        previous = [None] + [r.rule_id for r in records]
         out.append(
             sum(b_rule(lib.codes[rid][0], n0) for rid in used)
-            + realized_application_bits(records, lib, n0)
+            + sum(
+                b_application(lib.codes[r.rule_id][0], len(r.edits), n0, r.rule_id == before)
+                for r, before in zip(records, previous)
+            )
             + b_graph(residual.num_nodes(), residual.num_edges())
         )
     return out

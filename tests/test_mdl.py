@@ -43,8 +43,8 @@ def test_ceil_log2():
 
 def test_analyze_set_patterns(demo6):
     analysis = analyze_set(demo6, (2, 3))
-    assert analysis.in_pats == [(1, 0b11), (4, 0b10)]
-    assert analysis.out_pats == [(5, 0b10)]
+    assert sorted(analysis.in_pats.items()) == [(1, 0b11), (4, 0b10)]
+    assert sorted(analysis.out_pats.items()) == [(5, 0b10)]
     assert analysis.adj == (0b10, 0)
 
 
@@ -64,7 +64,9 @@ def test_analyze_set_reads_like_naive_oracle(seed):
     for _ in range(5):
         nodes = tuple(rng.sample(range(n), rng.randrange(1, min(n, 6) + 1)))
         analysis = analyze_set(g, nodes)
-        assert (analysis.adj, analysis.in_pats, analysis.out_pats) == naive_set_read(g, nodes)
+        assert (
+            analysis.adj, sorted(analysis.in_pats.items()), sorted(analysis.out_pats.items())
+        ) == naive_set_read(g, nodes)
 
 
 # Minimum edit costs of the worked example's six pair sets.
@@ -250,3 +252,22 @@ def test_default_params_alignment():
     p = default_params(2, 6, rule_already_defined=False)
     assert p == BitParams(C_R=12, C_ID=3, C_node=5, C_edit=5)
     assert default_params(2, 6, rule_already_defined=True).C_R == 0
+
+
+@pytest.mark.parametrize("defined", [False, True])
+def test_default_params_match_hand_written_widths(defined):
+    """The parameters read off ``b_rule`` and ``b_application`` equal the
+    field widths they were once written out as."""
+
+    def hand_written(k, n0, defined):
+        width = ceil_log2(n0)
+        return BitParams(
+            C_R=0 if defined else ceil_log2(n0) + k * (ceil_log2(k) + 2) + k * (k - 1) + 1,
+            C_ID=width,
+            C_node=width + 2,
+            C_edit=ceil_log2(k) + width + 1,
+        )
+
+    for k in range(2, 9):
+        for n0 in (k, 6, 63, 64, 65, 1000, 1 << 20):
+            assert default_params(k, n0, defined) == hand_written(k, n0, defined)
