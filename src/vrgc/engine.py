@@ -68,8 +68,8 @@ class ApplicationRecord:
         return min(self.node_ids)
 
     @property
-    def freed_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.node_ids)[1:])
+    def freed_ids(self) -> frozenset[int]:
+        return frozenset(self.node_ids) - {self.survivor}
 
 
 @dataclass

@@ -8,7 +8,6 @@ from vrgc.artifact import (
     result_to_obj,
     save_artifact,
 )
-from vrgc.cli import main
 from vrgc.engine import decode, extract
 from vrgc.enumeration import ExtractConfig
 from vrgc.synth import gen_binary_tree, gen_er
@@ -72,29 +71,36 @@ def shift_last_record(obj, by):
     record["node_ids"] = [v if v == survivor else v + by for v in record["node_ids"]]
 
 
-@pytest.mark.parametrize(
-    "fault",
-    [
-        "duplicate",
-        "rule_id_negative",
-        "rule_id_past_end",
-        "empty_code",
-        "disconnected",
-        "node_ids_shifted",
-        "node_ids_repeated",
-        "node_ids_too_few",
-        "edit_position_negative",
-        "edit_position_past_k",
-        "edit_direction",
-        "edit_external_member",
-        "record_repeated",
-        "freed_id_reused",
-        "residual_extra_active",
-        "residual_freed_active",
-        "residual_edge_to_freed",
-        "residual_self_loop",
-    ],
-)
+ACCOUNT_FIGURES = ["rule_bits", "application_bits", "residual_bits", "compressed_bits", "compression_rate"]
+
+# Each fault with the message of the check that must catch it, so that a
+# case fails when its own check is broken even if a later one (such as the
+# bit account) would reject the artifact too.
+FAULTS = {
+    "duplicate": "appears twice",
+    "rule_id_negative": "unknown rule id",
+    "rule_id_past_end": "unknown rule id",
+    "empty_code": "index out of range",
+    "disconnected": "weakly connected",
+    "node_ids_shifted": "distinct ids below",
+    "node_ids_repeated": "distinct ids below",
+    "node_ids_too_few": "distinct ids below",
+    "node_ids_too_many": "distinct ids below",
+    "edit_position_negative": "bad edit",
+    "edit_position_past_k": "bad edit",
+    "edit_direction": "bad edit",
+    "edit_external_member": "bad edit",
+    "record_repeated": "reuse a freed id",
+    "freed_id_reused": "reuse a freed id",
+    "residual_extra_active": "residual active ids",
+    "residual_freed_active": "residual active ids",
+    "residual_edge_to_freed": "is not active",
+    "residual_self_loop": "self-loop",
+    **{f"account_{figure}": "bit account" for figure in ACCOUNT_FIGURES},
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
 def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     """A repeated code would shift every later rule id; a rule id outside
     the stored codes names no rule (a negative one would index from the
@@ -107,11 +113,19 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     earlier one freed, to free it again or to keep it as survivor.  The
     residual's active ids must be exactly the ids no record frees: an extra
     active id or a freed id marked active decodes into another graph.  An
-    edge to a freed id or a self-loop is no residual edge."""
+    edge to a freed id or a self-loop is no residual edge.  Every figure of
+    the bit account but ``original_bits`` follows from the codes, the
+    records and the residual, so one set to 0 is rejected."""
     obj = result_to_obj(extract(demo6, ExtractConfig(k_min=2, k_max=3)))
     gram = obj["grammar"]
     record = obj["records"][0]
-    if fault == "duplicate":
+    # an external id, so an edit fault breaks only the rule it is named for
+    outside = next(v for v in range(obj["residual"]["n0"]) if v not in record["node_ids"])
+    if fault.startswith("account_"):
+        figure = fault.removeprefix("account_")
+        assert obj["account"][figure] != 0
+        obj["account"][figure] = 0
+    elif fault == "duplicate":
         gram["codes"].insert(0, gram["codes"][-1])
     elif fault == "rule_id_negative":
         record["rule_id"] = -1
@@ -127,12 +141,14 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
         record["node_ids"][1] = record["node_ids"][0]
     elif fault == "node_ids_too_few":
         record["node_ids"].pop()
+    elif fault == "node_ids_too_many":
+        record["node_ids"].append(record["node_ids"][0])
     elif fault == "edit_position_negative":
-        record["edits"].append([-1, record["node_ids"][0], "in"])
+        record["edits"].append([-1, outside, "in"])
     elif fault == "edit_position_past_k":
-        record["edits"].append([len(record["node_ids"]), record["node_ids"][0], "in"])
+        record["edits"].append([len(record["node_ids"]), outside, "in"])
     elif fault == "edit_direction":
-        record["edits"].append([0, record["node_ids"][0], "both"])
+        record["edits"].append([0, outside, "both"])
     elif fault == "edit_external_member":
         record["edits"].append([0, record["node_ids"][1], "out"])
     else:
@@ -154,37 +170,8 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
             residual["edges"].append([residual["active"][0]] * 2)
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(obj))
-    with pytest.raises(ArtifactInvalid):
+    with pytest.raises(ArtifactInvalid, match=FAULTS[fault]):
         load_artifact(path)
-
-
-TREE_127_K5 = ["--generator", "bintree", "--nodes", "127", "--kmax", "5"]
-
-
-@pytest.fixture(scope="module")
-def tree_artifact(tmp_path_factory):
-    out = tmp_path_factory.mktemp("tree")
-    assert main(["extract", *TREE_127_K5, "--out", str(out)]) == 0
-    return out / "artifact.json"
-
-
-@pytest.mark.parametrize(
-    "figure",
-    ["rule_bits", "application_bits", "residual_bits", "compressed_bits", "compression_rate"],
-)
-def test_load_rejects_tampered_account(tmp_path, tree_artifact, figure):
-    """Every stored figure of the bit account but ``original_bits`` follows
-    from the codes, the records and the residual.  One set to 0 (with
-    ``rule_bits``, ``compressed_bits`` read 312 instead of 381) is rejected
-    on load, and ``vrgc roundtrip`` exits 1 on it."""
-    obj = json.loads(tree_artifact.read_text())
-    assert obj["account"][figure] != 0
-    obj["account"][figure] = 0
-    path = tmp_path / "artifact.json"
-    path.write_text(json.dumps(obj))
-    with pytest.raises(ArtifactInvalid, match="bit account"):
-        load_artifact(path)
-    assert main(["roundtrip", *TREE_127_K5, "--artifact", str(path)]) == 1
 
 
 SCHEMA_2_CASES = {
