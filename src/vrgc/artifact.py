@@ -8,8 +8,9 @@ stored in ascending order of their id in the extraction's library, and the
 records point into that list.  Rule frequencies follow from the records
 and are rebuilt on load.  So does the bit account: the loader keeps only
 ``original_bits`` from the file, and rejects a stored account that differs
-from the one the codes, records and residual give.  Keys are sorted on
-write so identical runs produce identical bytes.
+from the one the codes, records and residual give; decoding checks that
+figure against the decoded graph.  No timing is stored and keys are sorted
+on write, so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ def result_to_obj(result: ExtractionResult, manifest: dict | None = None) -> dic
             "edges": [list(e) for e in result.residual.edges()],
         },
         "account": result.account.to_json_obj(),
-        "runtime_seconds": result.runtime_seconds,
     }
 
 
@@ -98,12 +98,7 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
         if account.to_json_obj() != obj["account"]:
             raise ArtifactInvalid("stored bit account differs from the one the artifact gives")
         result = ExtractionResult(
-            grammar=library,
-            records=records,
-            residual=residual,
-            account=account,
-            config=config,
-            runtime_seconds=obj["runtime_seconds"],
+            grammar=library, records=records, residual=residual, account=account, config=config
         )
         return result, obj.get("manifest", {})
     except ArtifactInvalid:

@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import analysis, synth
@@ -283,33 +282,20 @@ def cmd_sweep(args) -> int:
             point.kmax = value
         else:
             point.rewire = value
-        graph = load_or_generate(point)
-        started = time.perf_counter()
-        result = extract(graph, make_config(point))
-        elapsed = time.perf_counter() - started
+        result = extract(load_or_generate(point), make_config(point))
         rows.append(
             {
                 "param": args.axis,
                 "value": value,
                 "compression_rate": compression_rate(result.account),
-                "runtime_seconds": round(elapsed, 6),
+                "runtime_seconds": round(result.runtime_seconds, 6),
                 "rules": sum(1 for f in result.grammar.frequency if f),
                 "extractions": result.iterations,
             }
         )
     path = out / "sweep.csv"
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "param",
-                "value",
-                "compression_rate",
-                "runtime_seconds",
-                "rules",
-                "extractions",
-            ],
-        )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} sweep points to {path}")

@@ -125,9 +125,7 @@ class _Key:
         return (self.cost, self.k, self.rid) < (other.cost, other.k, other.rid)
 
 
-def select_best(
-    state: EnumState, library: RuleLibrary, n0: int
-) -> Optional[Choice]:
+def select_best(state: EnumState) -> Optional[Choice]:
     """Highest predicted nodes-per-bit rule plus one cheapest occurrence.
 
     Only the codes in ``state.dirty`` are rescored; every other code keeps
@@ -136,13 +134,13 @@ def select_best(
     dropped when it reaches the top.  The heap is rebuilt from the stored
     keys once stale entries outnumber live ones two to one.  The returned
     code is marked dirty, because extracting it defines its rule and so
-    changes its score.  ``state`` must be scored against one ``library``
-    and ``n0`` throughout.
+    changes its score.
 
     Ties break toward the cheaper occurrence, then the smaller fragment,
     then the older rule id, then the lexicographically smallest node set.
     """
-    keys, heap = state.keys, state.heap
+    keys, heap, library = state.keys, state.heap, state.library
+    n0 = state.graph.n0
     for code in state.dirty:
         levels = state.tables.get(code)
         if levels is None:
@@ -166,8 +164,7 @@ def select_best(
     best = heap[0]
     state.dirty.add(best.code)
     nodes = min(state.tables[best.code][best.cost])
-    entry = state.entries[nodes]
-    pair = entry.pairs[entry.codes.index(best.code)]
+    pair = state.entries[nodes].pairs[best.code]
     return Choice(best.rid, best.code, best.value, nodes, pair, best.cost)
 
 
@@ -213,19 +210,17 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
     n0 = g.n0
     if n0 < 1:
         raise ConfigInvalid("cannot extract from an empty graph")
-    original_edges = g.num_edges()
-    library = RuleLibrary()
-    state = EnumState()
-    probe = lambda nodes: state.register(g, nodes, library)
-    for _ in enumerate_connected_sets(g, config, cost_probe=probe):
+    state = EnumState(g, config)
+    library = state.library
+    for _ in enumerate_connected_sets(g, config, cost_probe=state.register):
         pass
     records: list[ApplicationRecord] = []
-    original_bits = b_graph(n0, original_edges)
+    original_bits = b_graph(g.num_nodes(), g.num_edges())
     # With ``mdl_stop``, residual_bits[p] is the residual's size after the
     # first p records.
     residual_bits = [original_bits]
     while True:
-        choice = select_best(state, library, n0)
+        choice = select_best(state)
         if choice is None:
             break
         record = extract_one(g, choice)
@@ -233,12 +228,7 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
             residual_bits.append(b_graph(g.num_nodes(), g.num_edges()))
         library.record_extraction(choice.rule_id)
         records.append(record)
-        # Every pre-edit external either keeps an edge to the survivor or
-        # lost all its edges to the set by edits, so these are all the
-        # nodes whose occurrences the extraction can have changed.
-        affected = set(record.node_ids) | g.neighbors(record.survivor)
-        affected.update(external for _, external, _ in record.edits)
-        update_after_extraction(state, g, affected, config, library)
+        update_after_extraction(state, record)
     if config.mdl_stop:
         # Keep the shortest prefix with the fewest bits; undo the rest.
         written = accumulate(map(sum, record_bits(records, library.codes, n0)), initial=0)
@@ -292,8 +282,15 @@ def bit_account(
 
 
 def decode(result: ExtractionResult) -> DiGraph:
-    """Reconstruct the original graph from an extraction result."""
-    return replay(result.residual, result.records, result.grammar)
+    """Reconstruct the original graph from an extraction result, and check
+    that its plain encoding takes the account's ``original_bits``."""
+    g = replay(result.residual, result.records, result.grammar)
+    bits = b_graph(g.num_nodes(), g.num_edges())
+    if bits != result.account.original_bits:
+        raise CorruptRecord(
+            f"decoded graph takes {bits} bits, the account says {result.account.original_bits}"
+        )
+    return g
 
 
 def replay(

@@ -126,21 +126,26 @@ def enumerate_connected_sets(
 @dataclass
 class SetEntry:
     cost: int
-    pairs: list[tuple[int, int]]  # one representative (i, o) mask pair per code
-    codes: list[bytes]
+    pairs: dict[bytes, tuple[int, int]]  # code -> its first (i, o) mask pair, first-seen order
 
 
 class EnumState:
-    """Registered occurrences plus per-rule cost aggregation.
+    """The occurrence index of one extraction: registered occurrences plus
+    per-rule cost aggregation, over one graph and config, interning into
+    its own ``library``.
 
     ``tables[code][cost]`` holds the node sets matching that rule at that
     cost; the cheapest registered cost is tracked for the shortcut bound.
     ``dirty`` collects the codes whose tables changed since rule selection
     last read them; ``keys`` and ``heap`` hold the selection's scores and
-    belong to ``engine.select_best``.
+    belong to ``engine.select_best``.  ``register`` and ``remove_set`` are
+    the only writers of ``entries``, ``tables`` and the cost counts.
     """
 
-    def __init__(self):
+    def __init__(self, graph: DiGraph, config: ExtractConfig):
+        self.graph = graph
+        self.config = config
+        self.library = RuleLibrary()
         self.entries: dict[tuple[int, ...], SetEntry] = {}
         self.tables: dict[bytes, dict[int, set[tuple[int, ...]]]] = {}
         self._cost_counts: dict[int, int] = {}
@@ -154,35 +159,33 @@ class EnumState:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def register(self, graph: DiGraph, nodes: tuple[int, ...], library: RuleLibrary) -> int:
-        """Score a node set, intern its minimum-cost rules, index it.
+    def register(self, nodes: tuple[int, ...]) -> int:
+        """Score a node set not yet in the index, intern its minimum-cost
+        rules and index it; the enumeration's ``cost_probe``.
 
         ``analyze_set`` reads the set out of the graph once, and each
         minimum-cost mask pair is looked up by its raw ``(k, adj, i_mask,
         o_mask)`` fields; ``rules.canonical_form`` caches under that key
-        and validates a fragment only on its first miss.  The only memo tables consulted
-        here are the ``lru_cache``s of ``rules.canonical_form`` and
-        ``mdl._side_minima``, so clearing both (as the benchmark does before
-        each round) starts registration cold.  Idempotent per set
-        (re-registration replaces the old entry).
+        and validates a fragment only on its first miss.  The only memo
+        tables consulted here are the ``lru_cache``s of
+        ``rules.canonical_form`` and ``mdl._side_minima``, so clearing both
+        (as the benchmark does before each round) starts registration cold.
         """
-        if nodes in self.entries:
-            self.remove_set(nodes)
-        analysis = analyze_set(graph, nodes)
+        analysis = analyze_set(self.graph, nodes)
         k = len(nodes)
-        seen: dict[bytes, tuple[int, int]] = {}
+        pairs: dict[bytes, tuple[int, int]] = {}
         for i_mask, o_mask in analysis.mask_pairs():
             code = canonical_code(k, analysis.adj, i_mask, o_mask)
-            if code not in seen:
-                seen[code] = (i_mask, o_mask)
-                library.intern_code(code)
-        entry = SetEntry(analysis.cost, list(seen.values()), list(seen))
-        self.entries[nodes] = entry
-        self._cost_counts[entry.cost] = self._cost_counts.get(entry.cost, 0) + 1
-        for code in entry.codes:
-            self.tables.setdefault(code, {}).setdefault(entry.cost, set()).add(nodes)
-        self.dirty.update(entry.codes)
-        return entry.cost
+            if code not in pairs:
+                pairs[code] = (i_mask, o_mask)
+                self.library.intern_code(code)
+        cost = analysis.cost
+        self.entries[nodes] = SetEntry(cost, pairs)
+        self._cost_counts[cost] = self._cost_counts.get(cost, 0) + 1
+        for code in pairs:
+            self.tables.setdefault(code, {}).setdefault(cost, set()).add(nodes)
+        self.dirty.update(pairs)
+        return cost
 
     def remove_set(self, nodes: tuple[int, ...]) -> None:
         entry = self.entries.pop(nodes, None)
@@ -193,14 +196,14 @@ class EnumState:
             self._cost_counts[entry.cost] = count
         else:
             del self._cost_counts[entry.cost]
-        for code in entry.codes:
+        for code in entry.pairs:
             levels = self.tables[code]
             levels[entry.cost].discard(nodes)
             if not levels[entry.cost]:
                 del levels[entry.cost]
             if not levels:
                 del self.tables[code]
-        self.dirty.update(entry.codes)
+        self.dirty.update(entry.pairs)
 
     def remove_touching(self, nodes: set[int]) -> None:
         doomed = [t for t in self.entries if nodes.intersection(t)]
@@ -208,21 +211,21 @@ class EnumState:
             self.remove_set(t)
 
 
-def update_after_extraction(
-    state: EnumState,
-    graph: DiGraph,
-    affected: set[int],
-    config: ExtractConfig,
-    library: RuleLibrary,
-) -> None:
-    """Drop every occurrence touching an affected node and re-enumerate
-    restricted to sets containing a live affected node.  ``affected`` must
-    include any ids retired by the extraction."""
+def update_after_extraction(state: EnumState, record) -> None:
+    """Refresh the index once ``record``, an ``engine.ApplicationRecord``,
+    has been applied to ``state.graph``: drop every occurrence touching an
+    affected node and re-enumerate the sets that contain a live one.
+
+    Every pre-edit external either keeps an edge to the survivor or lost
+    all its edges to the set by edits, so the record's node ids, the
+    survivor's neighbours and the edits' externals are all the nodes whose
+    occurrences the extraction can have changed.
+    """
+    graph = state.graph
+    affected = set(record.node_ids) | graph.neighbors(record.survivor)
+    affected.update(external for _, external, _ in record.edits)
     state.remove_touching(affected)
-    live = affected & graph.active
-    if live:
-        probe = lambda nodes: state.register(graph, nodes, library)
-        for _ in enumerate_connected_sets(
-            graph, config, cost_probe=probe, roots=live, c_best=state.c_best()
-        ):
-            pass
+    for _ in enumerate_connected_sets(
+        graph, state.config, cost_probe=state.register, roots=affected, c_best=state.c_best()
+    ):
+        pass

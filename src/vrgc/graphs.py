@@ -186,7 +186,4 @@ def parse_edge_list(text: str) -> DiGraph:
             raise SelfLoopRejected(f"line {lineno}: self-loop {u}->{v} rejected")
         edges.add((u, v))
         max_id = max(max_id, u, v)
-    g = DiGraph(max_id + 1)
-    for u, v in edges:
-        g.add_edge(u, v)
-    return g
+    return DiGraph.from_edges(max_id + 1, edges)

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
 from vrgc.mdl import BitParams, CostLevel
 
@@ -26,6 +27,14 @@ def random_digraph(rng: random.Random, n: int, m: int) -> DiGraph:
             g.out_adj[u].add(v)
             g.in_adj[v].add(u)
     return g
+
+
+def filled_index(graph: DiGraph, config: ExtractConfig) -> EnumState:
+    """An occurrence index filled by one full enumeration of ``graph``."""
+    state = EnumState(graph, config)
+    for _ in enumerate_connected_sets(graph, config, cost_probe=state.register):
+        pass
+    return state
 
 
 def is_weakly_connected(g: DiGraph, nodes: set[int]) -> bool:

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DEMO6_EDGES, brute_connected_sets, cost_of_n, nodes_of_n
+from conftest import DEMO6_EDGES, brute_connected_sets, cost_of_n, filled_index, nodes_of_n
 from vrgc.analysis import kl_divergence, rule_distribution
 from vrgc.engine import decode, extract, record_bits, select_best
-from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
+from vrgc.enumeration import ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
 from vrgc.mdl import (
     BitParams,
@@ -82,12 +82,8 @@ def test_criterion_2_running_example_fidelity():
             (0, 1, 2), (0, 1, 3), (1, 2, 3), (1, 3, 4),
             (1, 3, 5), (2, 3, 4), (2, 3, 5), (3, 4, 5),
         }
-        state = EnumState()
-        lib = RuleLibrary()
-        probe = lambda nodes: state.register(g, nodes, lib)
-        for _ in enumerate_connected_sets(g, pairs_cfg, cost_probe=probe):
-            pass
-        choice = select_best(state, lib, g.n0)
+        state = filled_index(g, pairs_cfg)
+        choice = select_best(state)
         costs = sorted(
             c for c, sets in state.tables[choice.code].items() for _ in sets
         )

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,8 +9,9 @@ from vrgc.artifact import (
     result_to_obj,
     save_artifact,
 )
-from vrgc.engine import decode, extract
+from vrgc.engine import CorruptRecord, decode, extract
 from vrgc.enumeration import ExtractConfig
+from vrgc.mdl import b_graph
 from vrgc.synth import gen_binary_tree, gen_er
 
 
@@ -28,10 +30,23 @@ def test_save_load_roundtrip(tmp_path, demo6):
 def test_artifact_bytes_stable(tmp_path):
     g = gen_binary_tree(31)
     cfg = ExtractConfig(k_min=2, k_max=3)
-    a = result_to_obj(extract(g, cfg))
-    b = result_to_obj(extract(g, cfg))
-    a["runtime_seconds"] = b["runtime_seconds"] = 0
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    save_artifact(extract(g, cfg), tmp_path / "a.json")
+    save_artifact(extract(g, cfg), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_decode_rejects_wrong_original_bits(tmp_path):
+    """The loader keeps ``original_bits`` from the file; decoding checks it
+    against the decoded graph.  The figure for 500 edges, stored with the
+    account it gives, loads but does not decode."""
+    res = extract(gen_binary_tree(127), ExtractConfig(k_min=2, k_max=5))
+    obj = result_to_obj(res)
+    obj["account"] = replace(res.account, original_bits=b_graph(127, 500)).to_json_obj()
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(obj))
+    loaded, _ = load_artifact(path)
+    with pytest.raises(CorruptRecord, match="bits"):
+        decode(loaded)
 
 
 def test_load_rejects_bad_json(tmp_path):

@@ -166,9 +166,9 @@ def test_sweep_single_point(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["param"] == "kmax"
-    assert set(rows[0]) == {
+    assert list(rows[0]) == [
         "param", "value", "compression_rate", "runtime_seconds", "rules", "extractions",
-    }
+    ]
 
 
 def test_sweep_bad_values_exits_2(tmp_path):

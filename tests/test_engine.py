@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrgc
-from conftest import random_digraph
+from conftest import filled_index, random_digraph
 from vrgc.artifact import result_from_obj, result_to_obj
 from vrgc.engine import (
     ApplicationRecord,
@@ -25,20 +25,16 @@ from vrgc.engine import (
     replay,
     select_best,
 )
-from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
+from vrgc.enumeration import ExtractConfig
 from vrgc.graphs import DiGraph
 from vrgc.mdl import analyze_set, b_application, b_graph, b_rule
-from vrgc.rules import RuleError, RuleLibrary, rule_from_code
+from vrgc.rules import RuleError, rule_from_code
 from vrgc.synth import gen_binary_tree, gen_er
 
 
 def first_choice(graph, cfg):
-    state = EnumState()
-    lib = RuleLibrary()
-    probe = lambda nodes: state.register(graph, nodes, lib)
-    for _ in enumerate_connected_sets(graph, cfg, cost_probe=probe):
-        pass
-    return state, lib, select_best(state, lib, graph.n0)
+    state = filled_index(graph, cfg)
+    return state, state.library, select_best(state)
 
 
 def test_demo6_first_selection(demo6):
@@ -135,12 +131,8 @@ def test_realized_bits_identity():
 def test_determinism_byte_identical():
     g = gen_binary_tree(127)
     cfg = ExtractConfig(k_min=2, k_max=5, shortcut_s=1)
-    a = extract(g, cfg)
-    b = extract(g, cfg)
-    obj_a = result_to_obj(a)
-    obj_b = result_to_obj(b)
-    obj_a["runtime_seconds"] = obj_b["runtime_seconds"] = 0
-    assert json.dumps(obj_a, sort_keys=True) == json.dumps(obj_b, sort_keys=True)
+    a, b = (json.dumps(result_to_obj(extract(g, cfg)), sort_keys=True) for _ in range(2))
+    assert a == b
 
 
 def test_mdl_stop_shrinks_record_count():
@@ -201,7 +193,6 @@ def test_extraction_independent_of_hash_seed():
         "from vrgc.enumeration import ExtractConfig\n"
         "from vrgc.synth import gen_er\n"
         "obj = result_to_obj(extract(gen_er(40, 100, 3), ExtractConfig(k_min=2, k_max=4)))\n"
-        "del obj['runtime_seconds']\n"
         "print(json.dumps(obj, sort_keys=True))\n"
     )
     src = str(Path(vrgc.__file__).resolve().parents[1])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import brute_connected_sets, random_digraph
+from conftest import brute_connected_sets, filled_index, random_digraph
 from vrgc.enumeration import (
     ConfigInvalid,
     EnumState,
@@ -12,7 +12,6 @@ from vrgc.enumeration import (
     should_extend,
     update_after_extraction,
 )
-from vrgc.rules import RuleLibrary
 
 
 def test_config_validation():
@@ -89,26 +88,16 @@ def test_pruning_only_drops_supersets(demo6):
     """With the heuristic on, everything emitted is a real connected set
     and the cheapest sets always survive."""
     cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=0)
-    state = EnumState()
-    lib = RuleLibrary()
-    probe = lambda nodes: state.register(demo6, nodes, lib)
-    got = set(enumerate_connected_sets(demo6, cfg, cost_probe=probe))
+    state = EnumState(demo6, cfg)
+    got = set(enumerate_connected_sets(demo6, cfg, cost_probe=state.register))
     everything = brute_connected_sets(demo6, 2, 3)
     assert got <= everything
     assert {t for t in got if len(t) == 2} == {t for t in everything if len(t) == 2}
 
 
-def register_all(graph, cfg, state, lib):
-    probe = lambda nodes: state.register(graph, nodes, lib)
-    for _ in enumerate_connected_sets(graph, cfg, cost_probe=probe):
-        pass
-
-
 def test_state_bookkeeping(demo6):
     cfg = ExtractConfig(k_min=2, k_max=2, shortcut_s=None)
-    state = EnumState()
-    lib = RuleLibrary()
-    register_all(demo6, cfg, state, lib)
+    state = filled_index(demo6, cfg)
     assert len(state) == 6
     assert state.c_best() == 0
     costs = sorted(e.cost for e in state.entries.values())
@@ -120,28 +109,23 @@ def test_state_bookkeeping(demo6):
 
 
 def test_incremental_update_matches_scratch(demo6):
-    """Dropping and re-registering around an extraction must equal a fresh
-    index on the mutated graph."""
+    """Dropping and re-registering around every extraction must equal a
+    fresh index on the mutated graph.  On ``gen_er(10, 20, 1)`` the third
+    extraction changes sets that hold neighbours of the survivor but not
+    the survivor itself, such as ``(4, 5)``."""
     from vrgc.engine import extract_one, select_best
+    from vrgc.synth import gen_er
 
     cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=None)
-    g = demo6
-    state = EnumState()
-    lib = RuleLibrary()
-    register_all(g, cfg, state, lib)
-    for _ in range(3):
-        choice = select_best(state, lib, g.n0)
-        if choice is None:
-            break
-        record = extract_one(g, choice)
-        lib.record_extraction(choice.rule_id)
-        affected = set(record.node_ids) | g.neighbors(record.survivor)
-        affected.update(external for _, external, _ in record.edits)
-        update_after_extraction(state, g, affected, cfg, lib)
-        fresh = EnumState()
-        register_all(g, cfg, fresh, RuleLibrary())
-        assert {t: e.cost for t, e in state.entries.items()} == {
-            t: e.cost for t, e in fresh.entries.items()
-        }
-        for t, entry in state.entries.items():
-            assert sorted(entry.codes) == sorted(fresh.entries[t].codes)
+    for g in (demo6, gen_er(10, 20, 1)):
+        state = filled_index(g, cfg)
+        while (choice := select_best(state)) is not None:
+            record = extract_one(g, choice)
+            state.library.record_extraction(choice.rule_id)
+            update_after_extraction(state, record)
+            fresh = filled_index(g, cfg)
+            assert {t: e.cost for t, e in state.entries.items()} == {
+                t: e.cost for t, e in fresh.entries.items()
+            }
+            for t, entry in state.entries.items():
+                assert sorted(entry.pairs) == sorted(fresh.entries[t].pairs)

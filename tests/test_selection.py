@@ -9,18 +9,19 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_set_read
+from conftest import filled_index, naive_set_read
 from vrgc import engine
-from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
+from vrgc.enumeration import ExtractConfig
 from vrgc.mdl import CostLevel, analyze_set, default_params, pcr
-from vrgc.rules import Rule, RuleLibrary, canonical_code
+from vrgc.rules import Rule, canonical_code
 from vrgc.synth import gen_er
 
 
-def full_scan_select(state, library, n0):
+def full_scan_select(state):
     """Reference selection: every known rule code is scored on every call,
     ordered by (-value, min cost, k, rule id), then the smallest node set
     among the winner's cheapest occurrences."""
+    library, n0 = state.library, state.graph.n0
     best = None
     for code, levels in state.tables.items():
         rid = library.index[code]
@@ -37,25 +38,12 @@ def full_scan_select(state, library, n0):
     if best is None:
         return None
     (_, cost, _, rid), code, value, nodes = best
-    entry = state.entries[nodes]
-    pair = entry.pairs[entry.codes.index(code)]
-    return rid, nodes, pair, cost, value
+    return rid, nodes, state.entries[nodes].pairs[code], cost, value
 
 
 def snapshot(state):
-    entries = {
-        t: (e.cost, dict(zip(e.codes, e.pairs))) for t, e in state.entries.items()
-    }
+    entries = {t: (e.cost, e.pairs) for t, e in state.entries.items()}
     return entries, state.tables, state.c_best()
-
-
-def fresh_index(graph, config):
-    state = EnumState()
-    library = RuleLibrary()
-    probe = lambda nodes: state.register(graph, nodes, library)
-    for _ in enumerate_connected_sets(graph, config, cost_probe=probe):
-        pass
-    return state
 
 
 small_er = st.tuples(
@@ -69,9 +57,9 @@ def test_incremental_selection_matches_full_scan(g, k_max, shortcut):
     real = engine.select_best
     calls = []
 
-    def checked(state, library, n0):
-        expected = full_scan_select(state, library, n0)
-        got = real(state, library, n0)
+    def checked(state):
+        expected = full_scan_select(state)
+        got = real(state)
         if expected is None:
             assert got is None
         else:
@@ -97,9 +85,9 @@ def test_incremental_index_matches_rebuild(g, k_max):
     real = engine.update_after_extraction
     updates = []
 
-    def checked(state, graph, affected, cfg, library):
-        out = real(state, graph, affected, cfg, library)
-        assert snapshot(state) == snapshot(fresh_index(graph, cfg))
+    def checked(state, record):
+        out = real(state, record)
+        assert snapshot(state) == snapshot(filled_index(state.graph, config))
         updates.append(len(state))
         return out
 
@@ -118,27 +106,21 @@ def assert_registered_like_oracle(state, graph):
         for i_mask, o_mask in analyze_set(graph, nodes).mask_pairs():
             rule = Rule(len(nodes), adj, i_mask, o_mask)
             first.setdefault(canonical_code(*astuple(rule)), (i_mask, o_mask))
-        assert entry.codes == list(first)
-        assert entry.pairs == list(first.values())
+        assert list(entry.pairs.items()) == list(first.items())
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=small_er, k_max=st.integers(2, 4), shortcut=st.sampled_from([1, None]))
 def test_registration_matches_rule_oracle(g, k_max, shortcut):
     config = ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut)
-    state = EnumState()
-    library = RuleLibrary()
-    probe = lambda nodes: state.register(g, nodes, library)
-    for _ in enumerate_connected_sets(g, config, cost_probe=probe):
-        pass
-    assert_registered_like_oracle(state, g)
+    assert_registered_like_oracle(filled_index(g, config), g)
 
     real = engine.update_after_extraction
     updates = []
 
-    def checked(state, graph, affected, cfg, library):
-        out = real(state, graph, affected, cfg, library)
-        assert_registered_like_oracle(state, graph)
+    def checked(state, record):
+        out = real(state, record)
+        assert_registered_like_oracle(state, state.graph)
         updates.append(len(state))
         return out
 
