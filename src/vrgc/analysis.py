@@ -54,10 +54,9 @@ def kl_divergence(
     return sum(contributions.values()), contributions
 
 
-def rank_interesting(p: RuleDistribution, q: RuleDistribution, library: RuleLibrary) -> list[bytes]:
-    """Rule codes sorted by descending divergence contribution; ties fall
-    back to library id (codes absent from the library sort last)."""
-    _, contributions = kl_divergence(p, q)
+def rank_interesting(contributions: dict[bytes, float], library: RuleLibrary) -> list[bytes]:
+    """Rule codes sorted by descending ``kl_divergence`` contribution; ties
+    fall back to library id (codes absent from the library sort last)."""
     fallback = len(library)
 
     def key(code: bytes):

@@ -207,8 +207,8 @@ def cmd_roundtrip(args) -> int:
         result = extract(graph, make_config(args))
     try:
         rebuilt = decode(result)
-    except (CorruptRecord, GraphError) as exc:
-        print(f"round-trip failed during replay: {exc}", file=sys.stderr)
+    except CorruptRecord as exc:
+        print(f"round-trip failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     if rebuilt == graph:
         print(f"round-trip ok: {graph.num_nodes()} nodes, {graph.num_edges()} edges")
@@ -239,7 +239,7 @@ def cmd_compare(args) -> int:
         except analysis.EmptyGrammar:
             q = analysis.RuleDistribution({}, {})
         comparisons[name] = analysis.kl_divergence(p, q)
-        rankings[name] = analysis.rank_interesting(p, q, result.grammar)
+        rankings[name] = analysis.rank_interesting(comparisons[name][1], result.grammar)
     manifest = manifest_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

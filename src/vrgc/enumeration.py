@@ -50,8 +50,6 @@ def should_extend(c, c_best, k: int, config: ExtractConfig) -> bool:
     """
     if config.shortcut_s is None:
         return True
-    if c_best == INFINITE_COST:
-        return True
     remaining = config.k_max - k
     slack = min(
         1 + remaining,
@@ -60,13 +58,10 @@ def should_extend(c, c_best, k: int, config: ExtractConfig) -> bool:
     return c <= c_best + slack
 
 
-CostProbe = Callable[[tuple[int, ...]], int]
-
-
 def enumerate_connected_sets(
     graph: DiGraph,
     config: ExtractConfig,
-    cost_probe: Optional[CostProbe] = None,
+    cost_probe: Callable[[tuple[int, ...]], int],
     roots: Optional[set[int]] = None,
     c_best: float = INFINITE_COST,
 ) -> Iterator[tuple[int, ...]]:
@@ -75,24 +70,17 @@ def enumerate_connected_sets(
     With ``roots`` given, only sets containing at least one root are
     produced (each exactly once).  ``cost_probe`` is called on every
     emitted set; its value feeds the shortcut pruning and updates the
-    running cheapest cost.
+    running cheapest cost, which starts at ``c_best``.
     """
     if roots is None:
         root_list = sorted(graph.active)
     else:
         root_list = sorted(set(roots) & graph.active)
-    best = [c_best]
+    best = c_best
     k_min, k_max = config.k_min, config.k_max
 
-    def probe(nodes: tuple[int, ...]) -> Optional[int]:
-        if cost_probe is None:
-            return None
-        c = cost_probe(nodes)
-        if c < best[0]:
-            best[0] = c
-        return c
-
     def grow(members: set[int], excluded: set[int]) -> Iterator[tuple[int, ...]]:
+        nonlocal best
         frontier: set[int] = set()
         for v in members:
             frontier |= graph.neighbors(v)
@@ -101,21 +89,21 @@ def enumerate_connected_sets(
         local_excluded = set(excluded)
         for w in sorted(frontier):
             grown = members | {w}
-            extend = True
+            extend = len(grown) < k_max
             if len(grown) >= k_min:
                 nodes = tuple(sorted(grown))
                 yield nodes
-                c = probe(nodes)
-                if c is not None and len(grown) < k_max:
-                    extend = should_extend(c, best[0], len(grown), config)
-            if extend and len(grown) < k_max:
+                c = cost_probe(nodes)
+                if c < best:
+                    best = c
+                if extend:
+                    extend = should_extend(c, best, len(grown), config)
+            if extend:
                 yield from grow(grown, local_excluded)
             local_excluded.add(w)
 
     processed: set[int] = set()
     for r in root_list:
-        if r in processed:
-            continue
         yield from grow({r}, processed)
         processed.add(r)
 
@@ -188,9 +176,7 @@ class EnumState:
         return cost
 
     def remove_set(self, nodes: tuple[int, ...]) -> None:
-        entry = self.entries.pop(nodes, None)
-        if entry is None:
-            return
+        entry = self.entries.pop(nodes)
         count = self._cost_counts[entry.cost] - 1
         if count:
             self._cost_counts[entry.cost] = count

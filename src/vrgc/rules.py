@@ -4,7 +4,13 @@ A rule is a weakly connected fragment of ``k`` nodes plus two boundary
 indicator masks: ``i_mask`` marks fragment nodes that inherit all of the
 replaced node's incoming boundary edges, ``o_mask`` the outgoing side.
 Fragments and masks are stored as integer bitmasks over fragment positions
-``0..k-1`` (bit ``j`` of ``adj[i]`` is the edge ``i -> j``).
+``0..k-1`` (bit ``j`` of ``adj[i]`` is the edge ``i -> j``), with
+``2 <= k <= K_HARD_MAX``, so every mask and row fits in one byte.
+
+A rule's code is ``k + 3`` bytes: ``k``, ``i_mask``, ``o_mask``, then one
+byte per adjacency row, all in canonical position order.
+``rule_from_code`` rejects a code of any other length, and
+``RuleLibrary.from_codes`` a code that is not the canonical code of its rule.
 
 Canonical codes are computed on these raw fields, ``(k, adj, i_mask,
 o_mask)``, and memoized in ``canonical_form``'s ``lru_cache`` under that
@@ -50,8 +56,8 @@ class Rule:
     o_mask: int
 
     def __post_init__(self):
-        if not 1 <= self.k <= K_HARD_MAX:
-            raise RuleError(f"fragment size {self.k} out of range 1..{K_HARD_MAX}")
+        if not 2 <= self.k <= K_HARD_MAX:
+            raise RuleError(f"fragment size {self.k} out of range 2..{K_HARD_MAX}")
         if len(self.adj) != self.k:
             raise RuleError("adjacency row count must equal k")
         if (self.i_mask | self.o_mask) >> self.k:
@@ -61,7 +67,7 @@ class Rule:
                 raise RuleError("adjacency bits outside fragment")
             if row & (1 << i):
                 raise RuleError("self-loop in fragment")
-        if self.k >= 2 and not self._weakly_connected():
+        if not self._weakly_connected():
             raise RuleError("fragment must be weakly connected")
 
     def _weakly_connected(self) -> bool:
@@ -136,14 +142,6 @@ def _candidate_perms(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int):
         yield tuple(itertools.chain.from_iterable(combo))
 
 
-def _serialize(k: int, adj: list[int], i_mask: int, o_mask: int) -> bytes:
-    nbytes = (k + 7) // 8
-    out = bytearray([k, i_mask, o_mask])
-    for row in adj:
-        out.extend(row.to_bytes(nbytes, "big"))
-    return bytes(out)
-
-
 @lru_cache(maxsize=1 << 18)
 def canonical_form(
     k: int, adj: tuple[int, ...], i_mask: int, o_mask: int
@@ -165,7 +163,7 @@ def canonical_form(
         if best_key is None or key < best_key:
             best_key = key
             best_perm = perm
-    return _serialize(k, best_key, *_relabel((i_mask, o_mask), best_perm)), best_perm
+    return bytes((k, *_relabel((i_mask, o_mask), best_perm), *best_key)), best_perm
 
 
 def canonical_code(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> bytes:
@@ -173,15 +171,9 @@ def canonical_code(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> by
 
 
 def rule_from_code(code: bytes) -> Rule:
-    k = code[0]
-    i_mask = code[1]
-    o_mask = code[2]
-    nbytes = (k + 7) // 8
-    adj = tuple(
-        int.from_bytes(code[3 + i * nbytes : 3 + (i + 1) * nbytes], "big")
-        for i in range(k)
-    )
-    return Rule(k, adj, i_mask, o_mask)
+    """The ``Rule`` a code stores; ``RuleError`` unless the code is exactly
+    ``k + 3`` bytes of a valid rule."""
+    return Rule(code[0], tuple(code[3:]), code[1], code[2])
 
 
 # -- library ---------------------------------------------------------------
@@ -219,12 +211,16 @@ class RuleLibrary:
         """Rebuild a stored library; rule ids follow the order of ``codes``.
 
         Each code is checked with ``rule_from_code`` (``RuleError`` if it is
-        no valid rule).  Raises ``ValueError`` on a repeated code, which
-        would otherwise shift every later rule id.  Frequencies start at 0.
+        no valid rule).  Raises ``ValueError`` on a code that is not the
+        canonical code of its rule, which would store one rule under two
+        ids, and on a repeated code, which would otherwise shift every later
+        rule id.  Frequencies start at 0.
         """
         library = cls()
         for code in codes:
-            rule_from_code(code)
+            rule = rule_from_code(code)
+            if canonical_code(rule.k, rule.adj, rule.i_mask, rule.o_mask) != code:
+                raise ValueError(f"rule code {code.hex()} is not canonical")
             if not library.intern_code(code)[1]:
                 raise ValueError(f"rule code {code.hex()} appears twice")
         return library
@@ -307,7 +303,6 @@ def apply_rule(
         graph.remove_edge(u, target)
     for w in out_nbrs:
         graph.remove_edge(target, w)
-    graph.active.discard(target)
     for nid in node_ids:
         graph.add_node(nid)
     for i, j in rule.edge_list():

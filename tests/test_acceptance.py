@@ -15,7 +15,7 @@ import pytest
 from conftest import DEMO6_EDGES, brute_connected_sets, cost_of_n, filled_index, nodes_of_n
 from vrgc.analysis import kl_divergence, rule_distribution
 from vrgc.engine import decode, extract, record_bits, select_best
-from vrgc.enumeration import ExtractConfig, enumerate_connected_sets
+from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
 from vrgc.mdl import (
     BitParams,
@@ -74,10 +74,10 @@ def test_criterion_2_running_example_fidelity():
     with criterion(2, "worked-example sets, cost multiset {0,0,1,2}, full collapse"):
         g = demo_graph()
         pairs_cfg = ExtractConfig(k_min=2, k_max=2, shortcut_s=None)
-        pairs = set(enumerate_connected_sets(g, pairs_cfg))
+        pairs = set(enumerate_connected_sets(g, pairs_cfg, EnumState(g, pairs_cfg).register))
         assert pairs == {(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5)}
         triples_cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=None)
-        sets3 = set(enumerate_connected_sets(g, triples_cfg))
+        sets3 = set(enumerate_connected_sets(g, triples_cfg, EnumState(g, triples_cfg).register))
         assert {t for t in sets3 if len(t) == 3} == {
             (0, 1, 2), (0, 1, 3), (1, 2, 3), (1, 3, 4),
             (1, 3, 5), (2, 3, 4), (2, 3, 5), (3, 4, 5),
@@ -101,7 +101,7 @@ def test_criterion_3_enumeration_oracle():
             n = rng.randrange(3, 13)
             m = rng.randrange(0, n * (n - 1) // 2 + 1)
             g = gen_er(n, m, rng.randrange(1 << 30))
-            emitted = list(enumerate_connected_sets(g, cfg))
+            emitted = list(enumerate_connected_sets(g, cfg, EnumState(g, cfg).register))
             assert len(emitted) == len(set(emitted))
             assert set(emitted) == brute_connected_sets(g, 2, 5)
 

@@ -89,7 +89,7 @@ def test_rank_interesting_hand_case():
     p_lib = library_with_counts([2, 1])
     p = rule_distribution(p_lib)
     q = rule_distribution(library_with_counts([0, 1, 2]))
-    ranked = rank_interesting(p, q, p_lib)
+    ranked = rank_interesting(kl_divergence(p, q)[1], p_lib)
     # the rule with counts (2, 0) must rank first
     assert ranked[0] == p_lib.codes[0]
 
@@ -97,5 +97,5 @@ def test_rank_interesting_hand_case():
 def test_rank_ties_fall_back_to_library_id():
     lib = library_with_counts([1, 1, 1])
     dist = rule_distribution(lib)
-    ranked = rank_interesting(dist, dist, lib)
+    ranked = rank_interesting(kl_divergence(dist, dist)[1], lib)
     assert ranked == [lib.codes[0], lib.codes[1], lib.codes[2]]

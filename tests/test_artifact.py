@@ -97,6 +97,10 @@ FAULTS = {
     "rule_id_past_end": "unknown rule id",
     "empty_code": "index out of range",
     "disconnected": "weakly connected",
+    "code_truncated": "row count",
+    "code_extra_byte": "row count",
+    "one_node_rule": "fragment size 1",
+    "code_relabelled": "not canonical",
     "node_ids_shifted": "distinct ids below",
     "node_ids_repeated": "distinct ids below",
     "node_ids_too_few": "distinct ids below",
@@ -119,7 +123,9 @@ FAULTS = {
 def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     """A repeated code would shift every later rule id; a rule id outside
     the stored codes names no rule (a negative one would index from the
-    end); a truncated or disconnected code is no rule.  A record must name
+    end); a code that is not ``k + 3`` bytes, has fewer than 2 nodes or is
+    disconnected is no rule, and a relabelled code would store its rule
+    under a second id.  A record must name
     exactly ``k`` distinct node ids below ``n0`` (ids past it decode into
     another graph), and its edits fragment positions ``0..k-1`` (a negative
     one would index from the end) in the direction ``in`` or ``out``, each
@@ -149,7 +155,17 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     elif fault == "empty_code":
         gram["codes"][0] = ""
     elif fault == "disconnected":
+        gram["codes"][0] = "0200000000"
+    elif fault == "code_truncated":
         gram["codes"][0] = "02000000"
+    elif fault == "code_extra_byte":
+        gram["codes"][0] += "00"
+    elif fault == "one_node_rule":
+        gram["codes"][0] = "01010100"
+    elif fault == "code_relabelled":
+        # 0 -> 1 with the out-boundary at 1, relabelled as 1 -> 0 with it at 0
+        assert gram["codes"][0] == "0200020200"
+        gram["codes"][0] = "0200010001"
     elif fault == "node_ids_shifted":
         shift_last_record(obj, 1000)
     elif fault == "node_ids_repeated":

@@ -101,7 +101,7 @@ def test_roundtrip_corrupted_artifact_exits_3(tmp_path, capsys):
     code = main(argv)
     assert code == 3
     err = capsys.readouterr().err
-    assert "mismatch" in err or "replay" in err
+    assert "decoded graph takes" in err
 
 
 def test_roundtrip_out_of_range_node_ids_exits_1(tmp_path, capsys):

@@ -44,13 +44,13 @@ def test_should_extend_bound_values():
 
 def test_demo6_pairs(demo6):
     cfg = ExtractConfig(k_min=2, k_max=2, shortcut_s=None)
-    got = set(enumerate_connected_sets(demo6, cfg))
+    got = set(enumerate_connected_sets(demo6, cfg, EnumState(demo6, cfg).register))
     assert got == {(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5)}
 
 
 def test_demo6_triples(demo6):
     cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=None)
-    got = set(enumerate_connected_sets(demo6, cfg))
+    got = set(enumerate_connected_sets(demo6, cfg, EnumState(demo6, cfg).register))
     triples = {t for t in got if len(t) == 3}
     assert triples == {
         (0, 1, 2),
@@ -70,7 +70,7 @@ def test_no_duplicates_and_oracle_small():
     for _ in range(25):
         g = random_digraph(rng, rng.randrange(4, 11), rng.randrange(4, 22))
         cfg = ExtractConfig(k_min=2, k_max=4, shortcut_s=None)
-        emitted = list(enumerate_connected_sets(g, cfg))
+        emitted = list(enumerate_connected_sets(g, cfg, EnumState(g, cfg).register))
         assert len(emitted) == len(set(emitted))
         assert set(emitted) == brute_connected_sets(g, 2, 4)
 
@@ -79,7 +79,7 @@ def test_restricted_roots_cover_exactly(demo6):
     cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=None)
     everything = brute_connected_sets(demo6, 2, 3)
     roots = {3}
-    got = list(enumerate_connected_sets(demo6, cfg, roots=roots))
+    got = list(enumerate_connected_sets(demo6, cfg, EnumState(demo6, cfg).register, roots=roots))
     assert len(got) == len(set(got))
     assert set(got) == {t for t in everything if 3 in t}
 

@@ -204,6 +204,17 @@ def test_rule_code_roundtrip():
     assert canonical_code(*astuple(back)) == code
 
 
+def test_rule_from_code_rejects_wrong_length():
+    """A code is exactly ``k + 3`` bytes, and a rule has at least 2 nodes."""
+    code = canonical_code(3, (6, 4, 1), 0b011, 0b101)
+    assert len(code) == 6
+    for bad in (code[:-1], code + b"\0"):
+        with pytest.raises(RuleError, match="row count"):
+            rule_from_code(bad)
+    with pytest.raises(RuleError, match="fragment size 1"):
+        rule_from_code(bytes.fromhex("01010100"))
+
+
 def test_library_intern_and_ordering():
     lib = RuleLibrary()
     a = Rule(2, (2, 0), 0b10, 0b10)
