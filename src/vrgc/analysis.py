@@ -8,47 +8,34 @@ smoothing on raw counts over the union support, then natural-log KL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .rules import RuleLibrary
 
 
-class EmptyGrammar(Exception):
-    pass
-
-
-@dataclass
-class RuleDistribution:
-    counts: dict[bytes, int]
-    probs: dict[bytes, float]
-
-
-def rule_distribution(grammar: RuleLibrary) -> RuleDistribution:
-    """Extraction-frequency distribution of a grammar's used rules."""
-    counts = {
+def rule_distribution(grammar: RuleLibrary) -> dict[bytes, int]:
+    """Extraction counts of a grammar's used rules, keyed by code; empty
+    when nothing was extracted."""
+    return {
         grammar.codes[rid]: grammar.frequency[rid]
         for rid in range(len(grammar))
         if grammar.frequency[rid] > 0
     }
-    total = sum(counts.values())
-    if total == 0:
-        raise EmptyGrammar("no extractions recorded")
-    return RuleDistribution(counts, {c: f / total for c, f in counts.items()})
 
 
-def _smooth(p: RuleDistribution, q: RuleDistribution) -> tuple[dict, dict]:
-    support = sorted(set(p.counts) | set(q.counts))
-    pt = sum(p.counts.values()) + len(support)
-    qt = sum(q.counts.values()) + len(support)
-    ps = {c: (p.counts.get(c, 0) + 1) / pt for c in support}
-    qs = {c: (q.counts.get(c, 0) + 1) / qt for c in support}
+def _smooth(p: dict[bytes, int], q: dict[bytes, int]) -> tuple[dict, dict]:
+    support = sorted(set(p) | set(q))
+    pt = sum(p.values()) + len(support)
+    qt = sum(q.values()) + len(support)
+    ps = {c: (p.get(c, 0) + 1) / pt for c in support}
+    qs = {c: (q.get(c, 0) + 1) / qt for c in support}
     return ps, qs
 
 
 def kl_divergence(
-    p: RuleDistribution, q: RuleDistribution
+    p: dict[bytes, int], q: dict[bytes, int]
 ) -> tuple[float, dict[bytes, float]]:
-    """Smoothed KL(p || q) and the per-rule contribution terms."""
+    """Smoothed KL(p || q) over two ``rule_distribution`` count dicts, and
+    the per-rule contribution terms."""
     ps, qs = _smooth(p, q)
     contributions = {c: ps[c] * math.log(ps[c] / qs[c]) for c in ps}
     return sum(contributions.values()), contributions

@@ -69,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kmax", type=int, default=3)
         p.add_argument("-s", "--shortcut", type=_shortcut, default=1)
         p.add_argument("--mdl-stop", action="store_true")
-        p.add_argument("--out", default="out")
-        p.add_argument("--emit", default="json")
 
     p_extract = sub.add_parser("extract", help="extract a grammar, write artifacts")
     add_common(p_extract)
+    p_extract.add_argument("--out", default="out")
+    p_extract.add_argument("--emit", default="json")
 
     p_round = sub.add_parser("roundtrip", help="verify decode(extract(G)) == G")
     add_common(p_round)
@@ -81,10 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="rank rules against ER and Chung-Lu nulls")
     add_common(p_cmp)
+    p_cmp.add_argument("--out", default="out")
+    p_cmp.add_argument("--emit", default="json")
     p_cmp.add_argument("--top", type=int, default=5)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep, CSV output")
     add_common(p_sweep)
+    p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--axis", choices=["nodes", "kmax", "rewire"], required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     return parser
@@ -233,11 +236,7 @@ def cmd_compare(args) -> int:
     comparisons = {}
     rankings = {}
     for name, null_graph in nulls.items():
-        null_result = extract(null_graph, config)
-        try:
-            q = analysis.rule_distribution(null_result.grammar)
-        except analysis.EmptyGrammar:
-            q = analysis.RuleDistribution({}, {})
+        q = analysis.rule_distribution(extract(null_graph, config).grammar)
         comparisons[name] = analysis.kl_divergence(p, q)
         rankings[name] = analysis.rank_interesting(comparisons[name][1], result.grammar)
     manifest = manifest_from_args(args)

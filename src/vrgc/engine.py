@@ -212,7 +212,7 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
         raise ConfigInvalid("cannot extract from an empty graph")
     state = EnumState(g, config)
     library = state.library
-    for _ in enumerate_connected_sets(g, config, cost_probe=state.register):
+    for _ in enumerate_connected_sets(state):
         pass
     records: list[ApplicationRecord] = []
     original_bits = b_graph(g.num_nodes(), g.num_edges())

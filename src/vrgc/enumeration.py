@@ -3,15 +3,16 @@
 Sets are enumerated uniquely by a branch-and-exclude search: every weakly
 connected set is generated exactly once, from its smallest member (or its
 smallest member among the requested roots when the search is restricted).
-Supersets of a set that scores too far above the cheapest known occurrence
-are pruned via the shortcut inequality.
+The search fills an ``EnumState``: it registers each set it emits, and
+prunes the supersets of a set that scores too far above the index's
+cheapest occurrence via the shortcut inequality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .graphs import DiGraph
 from .mdl import analyze_set
@@ -59,28 +60,24 @@ def should_extend(c, c_best, k: int, config: ExtractConfig) -> bool:
 
 
 def enumerate_connected_sets(
-    graph: DiGraph,
-    config: ExtractConfig,
-    cost_probe: Callable[[tuple[int, ...]], int],
-    roots: Optional[set[int]] = None,
-    c_best: float = INFINITE_COST,
+    state: EnumState, roots: Optional[set[int]] = None
 ) -> Iterator[tuple[int, ...]]:
-    """Stream weakly connected node sets with ``k_min <= |S| <= k_max``.
+    """Stream the weakly connected node sets of ``state.graph`` with
+    ``k_min <= |S| <= k_max``, registering each into ``state``.
 
     With ``roots`` given, only sets containing at least one root are
-    produced (each exactly once).  ``cost_probe`` is called on every
-    emitted set; its value feeds the shortcut pruning and updates the
-    running cheapest cost, which starts at ``c_best``.
+    produced (each exactly once).  Every emitted set goes through
+    ``state.register``; its cost and ``state.c_best()`` decide whether
+    its supersets are enumerated.
     """
+    graph, config = state.graph, state.config
     if roots is None:
         root_list = sorted(graph.active)
     else:
         root_list = sorted(set(roots) & graph.active)
-    best = c_best
     k_min, k_max = config.k_min, config.k_max
 
     def grow(members: set[int], excluded: set[int]) -> Iterator[tuple[int, ...]]:
-        nonlocal best
         frontier: set[int] = set()
         for v in members:
             frontier |= graph.neighbors(v)
@@ -93,11 +90,9 @@ def enumerate_connected_sets(
             if len(grown) >= k_min:
                 nodes = tuple(sorted(grown))
                 yield nodes
-                c = cost_probe(nodes)
-                if c < best:
-                    best = c
+                c = state.register(nodes)
                 if extend:
-                    extend = should_extend(c, best, len(grown), config)
+                    extend = should_extend(c, state.c_best(), len(grown), config)
             if extend:
                 yield from grow(grown, local_excluded)
             local_excluded.add(w)
@@ -144,12 +139,10 @@ class EnumState:
     def c_best(self) -> float:
         return min(self._cost_counts) if self._cost_counts else INFINITE_COST
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def register(self, nodes: tuple[int, ...]) -> int:
         """Score a node set not yet in the index, intern its minimum-cost
-        rules and index it; the enumeration's ``cost_probe``.
+        rules and index it; ``enumerate_connected_sets`` calls it on every
+        set it emits and reads the returned cost.
 
         ``analyze_set`` reads the set out of the graph once, and each
         minimum-cost mask pair is looked up by its raw ``(k, adj, i_mask,
@@ -207,11 +200,8 @@ def update_after_extraction(state: EnumState, record) -> None:
     survivor's neighbours and the edits' externals are all the nodes whose
     occurrences the extraction can have changed.
     """
-    graph = state.graph
-    affected = set(record.node_ids) | graph.neighbors(record.survivor)
+    affected = set(record.node_ids) | state.graph.neighbors(record.survivor)
     affected.update(external for _, external, _ in record.edits)
     state.remove_touching(affected)
-    for _ in enumerate_connected_sets(
-        graph, state.config, cost_probe=state.register, roots=affected, c_best=state.c_best()
-    ):
+    for _ in enumerate_connected_sets(state, affected):
         pass

@@ -32,7 +32,7 @@ def random_digraph(rng: random.Random, n: int, m: int) -> DiGraph:
 def filled_index(graph: DiGraph, config: ExtractConfig) -> EnumState:
     """An occurrence index filled by one full enumeration of ``graph``."""
     state = EnumState(graph, config)
-    for _ in enumerate_connected_sets(graph, config, cost_probe=state.register):
+    for _ in enumerate_connected_sets(state):
         pass
     return state
 

@@ -74,10 +74,10 @@ def test_criterion_2_running_example_fidelity():
     with criterion(2, "worked-example sets, cost multiset {0,0,1,2}, full collapse"):
         g = demo_graph()
         pairs_cfg = ExtractConfig(k_min=2, k_max=2, shortcut_s=None)
-        pairs = set(enumerate_connected_sets(g, pairs_cfg, EnumState(g, pairs_cfg).register))
+        pairs = set(enumerate_connected_sets(EnumState(g, pairs_cfg)))
         assert pairs == {(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5)}
         triples_cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=None)
-        sets3 = set(enumerate_connected_sets(g, triples_cfg, EnumState(g, triples_cfg).register))
+        sets3 = set(enumerate_connected_sets(EnumState(g, triples_cfg)))
         assert {t for t in sets3 if len(t) == 3} == {
             (0, 1, 2), (0, 1, 3), (1, 2, 3), (1, 3, 4),
             (1, 3, 5), (2, 3, 4), (2, 3, 5), (3, 4, 5),
@@ -101,7 +101,7 @@ def test_criterion_3_enumeration_oracle():
             n = rng.randrange(3, 13)
             m = rng.randrange(0, n * (n - 1) // 2 + 1)
             g = gen_er(n, m, rng.randrange(1 << 30))
-            emitted = list(enumerate_connected_sets(g, cfg, EnumState(g, cfg).register))
+            emitted = list(enumerate_connected_sets(EnumState(g, cfg)))
             assert len(emitted) == len(set(emitted))
             assert set(emitted) == brute_connected_sets(g, 2, 5)
 

@@ -67,7 +67,7 @@ def test_bad_config_exits_2(tmp_path):
 
 def test_roundtrip_ok(tmp_path, capsys):
     edges = write_demo(tmp_path)
-    assert main(["roundtrip", "--input", str(edges), "--out", str(tmp_path / "o")]) == 0
+    assert main(["roundtrip", "--input", str(edges)]) == 0
     assert "round-trip ok" in capsys.readouterr().out
 
 
@@ -81,7 +81,7 @@ def test_roundtrip_corrupted_artifact_exits_3(tmp_path, capsys):
     # drop the earliest record so the decoded graph stays partially collapsed
     dropped = obj["records"].pop(0)
     art.write_text(json.dumps(obj))
-    argv = ["roundtrip", "--input", str(edges), "--artifact", str(art), "--out", str(out)]
+    argv = ["roundtrip", "--input", str(edges), "--artifact", str(art)]
     # the ids it freed are then neither freed nor active, which the loader sees
     assert main(argv) == 1
     assert "residual active ids" in capsys.readouterr().err
@@ -201,5 +201,17 @@ def test_compare_runs(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads((out / "compare.json").read_text())
+    assert set(report["kl"]) == {"er", "chunglu"}
+    assert "kl[er]" in capsys.readouterr().out
+
+
+def test_compare_with_nothing_extracted(tmp_path, capsys):
+    """With ``--mdl-stop`` no extraction on this ER graph pays for itself,
+    so the grammar is empty; the comparison still runs."""
+    out = tmp_path / "cmp"
+    argv = ["compare", "--generator", "er", "--nodes", "60", "--edges", "300", "--mdl-stop"]
+    assert main(argv + ["--out", str(out)]) == 0
+    report = json.loads((out / "compare.json").read_text())
+    assert report["rules"] == []
     assert set(report["kl"]) == {"er", "chunglu"}
     assert "kl[er]" in capsys.readouterr().out

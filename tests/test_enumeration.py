@@ -44,13 +44,13 @@ def test_should_extend_bound_values():
 
 def test_demo6_pairs(demo6):
     cfg = ExtractConfig(k_min=2, k_max=2, shortcut_s=None)
-    got = set(enumerate_connected_sets(demo6, cfg, EnumState(demo6, cfg).register))
+    got = set(enumerate_connected_sets(EnumState(demo6, cfg)))
     assert got == {(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5)}
 
 
 def test_demo6_triples(demo6):
     cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=None)
-    got = set(enumerate_connected_sets(demo6, cfg, EnumState(demo6, cfg).register))
+    got = set(enumerate_connected_sets(EnumState(demo6, cfg)))
     triples = {t for t in got if len(t) == 3}
     assert triples == {
         (0, 1, 2),
@@ -70,7 +70,7 @@ def test_no_duplicates_and_oracle_small():
     for _ in range(25):
         g = random_digraph(rng, rng.randrange(4, 11), rng.randrange(4, 22))
         cfg = ExtractConfig(k_min=2, k_max=4, shortcut_s=None)
-        emitted = list(enumerate_connected_sets(g, cfg, EnumState(g, cfg).register))
+        emitted = list(enumerate_connected_sets(EnumState(g, cfg)))
         assert len(emitted) == len(set(emitted))
         assert set(emitted) == brute_connected_sets(g, 2, 4)
 
@@ -79,7 +79,7 @@ def test_restricted_roots_cover_exactly(demo6):
     cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=None)
     everything = brute_connected_sets(demo6, 2, 3)
     roots = {3}
-    got = list(enumerate_connected_sets(demo6, cfg, EnumState(demo6, cfg).register, roots=roots))
+    got = list(enumerate_connected_sets(EnumState(demo6, cfg), roots))
     assert len(got) == len(set(got))
     assert set(got) == {t for t in everything if 3 in t}
 
@@ -88,8 +88,7 @@ def test_pruning_only_drops_supersets(demo6):
     """With the heuristic on, everything emitted is a real connected set
     and the cheapest sets always survive."""
     cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=0)
-    state = EnumState(demo6, cfg)
-    got = set(enumerate_connected_sets(demo6, cfg, cost_probe=state.register))
+    got = set(enumerate_connected_sets(EnumState(demo6, cfg)))
     everything = brute_connected_sets(demo6, 2, 3)
     assert got <= everything
     assert {t for t in got if len(t) == 2} == {t for t in everything if len(t) == 2}
@@ -98,12 +97,12 @@ def test_pruning_only_drops_supersets(demo6):
 def test_state_bookkeeping(demo6):
     cfg = ExtractConfig(k_min=2, k_max=2, shortcut_s=None)
     state = filled_index(demo6, cfg)
-    assert len(state) == 6
+    assert len(state.entries) == 6
     assert state.c_best() == 0
     costs = sorted(e.cost for e in state.entries.values())
     assert costs == [0, 0, 0, 0, 1, 2]
     state.remove_touching({3})
-    assert len(state) == 2
+    assert len(state.entries) == 2
     assert set(state.entries) == {(0, 1), (1, 2)}
     assert state.c_best() == 0
 

@@ -13,9 +13,15 @@ import json
 
 import pytest
 
-from vrgc.engine import extract
+from vrgc.engine import decode, extract
 from vrgc.enumeration import ExtractConfig
-from vrgc.synth import gen_binary_tree, gen_er, gen_ring_lattice
+from vrgc.synth import (
+    gen_binary_tree,
+    gen_chung_lu_directed,
+    gen_er,
+    gen_ring_lattice,
+    gen_tree_of_rings,
+)
 
 
 def output_digest(result) -> str:
@@ -58,10 +64,28 @@ CASES = {
         ExtractConfig(k_min=2, k_max=5, shortcut_s=1, mdl_stop=True),
         "07bec713fd0eca8afaae2788eadcd1cb590a4e66d4b0669ff42d63c8c4445adc",
     ),
+    "tree_of_rings_200_k4_s0": (
+        lambda: gen_tree_of_rings(3, 15, 200),
+        ExtractConfig(k_min=2, k_max=4, shortcut_s=0),
+        "30dee489c80ff6a934196a5d26faccbdf480acfa0ec8c53e2fc775f33f63d920",
+    ),
+    "chung_lu_60_k3": (
+        lambda: gen_chung_lu_directed([2] * 60, [2] * 60, 1),
+        ExtractConfig(k_min=2, k_max=3, shortcut_s=1),
+        "5f55d327c749419e64a50a822d476273320949a148348caa3dbd563908cef30b",
+    ),
+    "ring_lattice_20_k8": (
+        lambda: gen_ring_lattice(20, 4),
+        ExtractConfig(k_min=2, k_max=8, shortcut_s=1),
+        "e1503131ff3880cff9abbc9bbd237966032759b44360d33212711cc872dbd8a6",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     make, config, expected = CASES[name]
-    assert output_digest(extract(make(), config)) == expected
+    graph = make()
+    result = extract(graph, config)
+    assert output_digest(result) == expected
+    assert decode(result) == graph

@@ -6,7 +6,7 @@ from dataclasses import astuple
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import filled_index, naive_set_read
@@ -14,7 +14,7 @@ from vrgc import engine
 from vrgc.enumeration import ExtractConfig
 from vrgc.mdl import CostLevel, analyze_set, default_params, pcr
 from vrgc.rules import Rule, canonical_code
-from vrgc.synth import gen_er
+from vrgc.synth import gen_er, gen_ring_lattice
 
 
 def full_scan_select(state):
@@ -77,6 +77,9 @@ def test_incremental_selection_matches_full_scan(g, k_max, shortcut):
 
 @settings(max_examples=40, deadline=None)
 @given(g=small_er, k_max=st.integers(2, 4))
+@example(g=gen_ring_lattice(16, 4), k_max=6)
+@example(g=gen_er(12, 30, 2), k_max=6)
+@example(g=gen_er(10, 20, 1), k_max=8)
 def test_incremental_index_matches_rebuild(g, k_max):
     """With the shortcut off, the index after every extraction equals one
     rebuilt afresh on the mutated graph: entries, the codes (and mask
@@ -88,7 +91,7 @@ def test_incremental_index_matches_rebuild(g, k_max):
     def checked(state, record):
         out = real(state, record)
         assert snapshot(state) == snapshot(filled_index(state.graph, config))
-        updates.append(len(state))
+        updates.append(len(state.entries))
         return out
 
     with mock.patch.object(engine, "update_after_extraction", checked):
@@ -121,7 +124,7 @@ def test_registration_matches_rule_oracle(g, k_max, shortcut):
     def checked(state, record):
         out = real(state, record)
         assert_registered_like_oracle(state, state.graph)
-        updates.append(len(state))
+        updates.append(len(state.entries))
         return out
 
     with mock.patch.object(engine, "update_after_extraction", checked):
