@@ -13,13 +13,9 @@ from .rules import RuleLibrary
 
 
 def rule_distribution(grammar: RuleLibrary) -> dict[bytes, int]:
-    """Extraction counts of a grammar's used rules, keyed by code; empty
-    when nothing was extracted."""
-    return {
-        grammar.codes[rid]: grammar.frequency[rid]
-        for rid in range(len(grammar))
-        if grammar.frequency[rid] > 0
-    }
+    """Extraction counts of a grammar's rules, keyed by code; empty when
+    nothing was extracted."""
+    return dict(zip(grammar.codes, grammar.frequency))
 
 
 def _smooth(p: dict[bytes, int], q: dict[bytes, int]) -> tuple[dict, dict]:
@@ -66,7 +62,6 @@ def report_json_obj(result, null_comparisons: dict[str, tuple[float, dict]] | No
                 "frequency": grammar.frequency[rid],
             }
             for rid in grammar.ordered_ids()
-            if grammar.frequency[rid] > 0
         ],
     }
     if null_comparisons:

@@ -3,14 +3,15 @@
 The artifact JSON holds what decoding needs: the codes of the rules the
 records use, the application records (rule id, node ids, edits) and the
 residual graph, together with the bit account and the manifest that
-produced the run.  Rule ids are renumbered on write: the used codes are
-stored in ascending order of their id in the extraction's library, and the
-records point into that list.  Rule frequencies follow from the records
-and are rebuilt on load.  So does the bit account: the loader keeps only
-``original_bits`` from the file, and rejects a stored account that differs
-from the one the codes, records and residual give; decoding checks that
-figure against the decoded graph.  No timing is stored and keys are sorted
-on write, so identical runs produce identical bytes.
+produced the run.  An extraction result's grammar holds only the rules its
+records use, so it is stored as it is, and ``load_artifact(save_artifact(r))``
+gives back ``r``.  Rule frequencies follow from the records and are rebuilt
+on load by ``engine.used_grammar``, as in extraction.  So does the bit
+account: the loader keeps only ``original_bits`` from the file, and rejects
+a stored account that differs from the one the codes, records and residual
+give; decoding checks that figure against the decoded graph.  No timing is
+stored and keys are sorted on write, so identical runs produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .engine import ApplicationRecord, ExtractionResult, bit_account
-from .enumeration import ExtractConfig
+from .engine import ApplicationRecord, ExtractionResult, bit_account, used_grammar
+from .enumeration import ConfigInvalid, ExtractConfig
 from .graphs import DiGraph, GraphError
-from .rules import RuleError, RuleLibrary
+from .rules import RuleError, check_codes
 
 SCHEMA_VERSION = 2
 
@@ -31,8 +32,6 @@ class ArtifactInvalid(Exception):
 
 
 def result_to_obj(result: ExtractionResult, manifest: dict | None = None) -> dict:
-    used = sorted({r.rule_id for r in result.records})
-    new_id = {rid: i for i, rid in enumerate(used)}
     return {
         "schema_version": SCHEMA_VERSION,
         "manifest": manifest or {},
@@ -42,10 +41,10 @@ def result_to_obj(result: ExtractionResult, manifest: dict | None = None) -> dic
             "shortcut_s": result.config.shortcut_s,
             "mdl_stop": result.config.mdl_stop,
         },
-        "grammar": {"codes": [result.grammar.codes[rid].hex() for rid in used]},
+        "grammar": {"codes": [code.hex() for code in result.grammar.codes]},
         "records": [
             {
-                "rule_id": new_id[r.rule_id],
+                "rule_id": r.rule_id,
                 "node_ids": list(r.node_ids),
                 "edits": [[p, e, d] for p, e, d in r.edits],
             }
@@ -76,9 +75,10 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
             shortcut_s=cfg["shortcut_s"],
             mdl_stop=cfg["mdl_stop"],
         )
-        library = RuleLibrary.from_codes([bytes.fromhex(c) for c in obj["grammar"]["codes"]])
+        codes = [bytes.fromhex(c) for c in obj["grammar"]["codes"]]
+        check_codes(codes)
         res = obj["residual"]
-        records = [_record_from_obj(r, library, res["n0"]) for r in obj["records"]]
+        records = [_record_from_obj(r, codes, res["n0"]) for r in obj["records"]]
         freed: set[int] = set()
         for record in records:
             ids = record.node_ids
@@ -88,34 +88,35 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
         active = set(res["active"])
         if active != set(range(res["n0"])) - freed:
             raise ArtifactInvalid("residual active ids are not the ids that no record frees")
-        for record in records:
-            library.record_extraction(record.rule_id)
+        grammar, records = used_grammar(codes, records)
+        if grammar.codes != codes:
+            raise ArtifactInvalid("the artifact stores a rule that no record uses")
         residual = DiGraph(res["n0"])
         residual.active = active
         for u, v in res["edges"]:
             residual.add_edge(u, v)
-        account = bit_account(records, library.codes, residual, obj["account"]["original_bits"])
+        account = bit_account(records, codes, residual, obj["account"]["original_bits"])
         if account.to_json_obj() != obj["account"]:
             raise ArtifactInvalid("stored bit account differs from the one the artifact gives")
         result = ExtractionResult(
-            grammar=library, records=records, residual=residual, account=account, config=config
+            grammar=grammar, records=records, residual=residual, account=account, config=config
         )
         return result, obj.get("manifest", {})
     except ArtifactInvalid:
         raise
-    except (GraphError, IndexError, KeyError, RuleError, TypeError, ValueError) as exc:
+    except (ConfigInvalid, GraphError, IndexError, KeyError, RuleError, TypeError, ValueError) as exc:
         raise ArtifactInvalid(f"malformed artifact: {exc}") from exc
 
 
-def _record_from_obj(r: dict, library: RuleLibrary, n0: int) -> ApplicationRecord:
+def _record_from_obj(r: dict, codes: list[bytes], n0: int) -> ApplicationRecord:
     """One stored record, checked against what replay trusts: a stored
     rule id, exactly ``k`` distinct node ids below ``n0``, and edits at
     fragment positions ``0..k-1`` in a known direction, each to an id
     below ``n0`` outside the fragment."""
     rid = r["rule_id"]
-    if type(rid) is not int or not 0 <= rid < len(library):
+    if type(rid) is not int or not 0 <= rid < len(codes):
         raise ArtifactInvalid(f"record names unknown rule id {rid!r}")
-    k = library.codes[rid][0]
+    k = codes[rid][0]
     node_ids = tuple(r["node_ids"])
     if len(node_ids) != k or len(set(node_ids)) != k or not all(
         type(v) is int and 0 <= v < n0 for v in node_ids

@@ -163,9 +163,8 @@ def _write_outputs(args, result, manifest) -> Path:
         )
     if "dot" in emit:
         for rid in result.grammar.ordered_ids():
-            if result.grammar.frequency[rid] > 0:
-                dot = rule_to_dot(rule_from_code(result.grammar.codes[rid]), name=f"rule_{rid}")
-                (out / f"rule_{rid}.dot").write_text(dot)
+            dot = rule_to_dot(rule_from_code(result.grammar.codes[rid]), name=f"rule_{rid}")
+            (out / f"rule_{rid}.dot").write_text(dot)
     return out
 
 
@@ -177,7 +176,7 @@ def cmd_extract(args) -> int:
     rate = compression_rate(result.account)
     print(
         f"extracted {result.iterations} applications of "
-        f"{sum(1 for f in result.grammar.frequency if f)} rules; "
+        f"{len(result.grammar)} rules; "
         f"compression rate {rate:.4f}"
     )
     return EXIT_OK
@@ -252,10 +251,9 @@ def cmd_compare(args) -> int:
     if "dot" in emit:
         for name, ranked in rankings.items():
             for rank, code in enumerate(ranked[: args.top]):
-                rid = result.grammar.index.get(code)
-                if rid is None:
+                if code not in result.grammar.index:
                     continue
-                dot = rule_to_dot(rule_from_code(result.grammar.codes[rid]), name=f"{name}_top{rank}")
+                dot = rule_to_dot(rule_from_code(code), name=f"{name}_top{rank}")
                 (out / f"interesting_{name}_{rank}.dot").write_text(dot)
     for name in sorted(comparisons):
         print(f"kl[{name}] = {comparisons[name][0]:.6f}")
@@ -275,12 +273,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in values:
         point = argparse.Namespace(**vars(args))
-        if args.axis == "nodes":
-            point.nodes = value
-        elif args.axis == "kmax":
-            point.kmax = value
-        else:
-            point.rewire = value
+        setattr(point, args.axis, value)
         result = extract(load_or_generate(point), make_config(point))
         rows.append(
             {
@@ -288,7 +281,7 @@ def cmd_sweep(args) -> int:
                 "value": value,
                 "compression_rate": compression_rate(result.account),
                 "runtime_seconds": round(result.runtime_seconds, 6),
-                "rules": sum(1 for f in result.grammar.frequency if f),
+                "rules": len(result.grammar),
                 "extractions": result.iterations,
             }
         )

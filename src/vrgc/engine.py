@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Optional
@@ -74,6 +74,8 @@ class ApplicationRecord:
 
 @dataclass
 class ExtractionResult:
+    """``grammar`` holds only the rules the records use (``used_grammar``)."""
+
     grammar: RuleLibrary
     records: list[ApplicationRecord]
     residual: DiGraph
@@ -132,9 +134,7 @@ def select_best(state: EnumState) -> Optional[Choice]:
     the key stored at its last scoring.  Each new key is pushed onto
     ``state.heap``, and an entry that is no longer its code's stored key is
     dropped when it reaches the top.  The heap is rebuilt from the stored
-    keys once stale entries outnumber live ones two to one.  The returned
-    code is marked dirty, because extracting it defines its rule and so
-    changes its score.
+    keys once stale entries outnumber live ones two to one.
 
     Ties break toward the cheaper occurrence, then the smaller fragment,
     then the older rule id, then the lexicographically smallest node set.
@@ -162,7 +162,6 @@ def select_best(state: EnumState) -> Optional[Choice]:
     if not heap:
         return None
     best = heap[0]
-    state.dirty.add(best.code)
     nodes = min(state.tables[best.code][best.cost])
     pair = state.entries[nodes].pairs[best.code]
     return Choice(best.rid, best.code, best.value, nodes, pair, best.cost)
@@ -234,19 +233,34 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
         written = accumulate(map(sum, record_bits(records, library.codes, n0)), initial=0)
         totals = [w + r for w, r in zip(written, residual_bits)]
         keep = totals.index(min(totals))
-        if keep < len(records):
-            g = replay(g, records[keep:], library)
-            for record in records[keep:]:
-                library.frequency[record.rule_id] -= 1
-            del records[keep:]
+        g = replay(g, records[keep:], library)
+        del records[keep:]
+    grammar, records = used_grammar(library.codes, records)
     return ExtractionResult(
-        grammar=library,
+        grammar=grammar,
         records=records,
         residual=g,
-        account=bit_account(records, library.codes, g, original_bits),
+        account=bit_account(records, grammar.codes, g, original_bits),
         config=config,
         runtime_seconds=time.perf_counter() - started,
     )
+
+
+def used_grammar(
+    codes: list[bytes], records: list[ApplicationRecord]
+) -> tuple[RuleLibrary, list[ApplicationRecord]]:
+    """The grammar of ``records``: the rules they use, numbered in ascending
+    order of their index in ``codes``, with frequencies counted from the
+    records; and the records renumbered into it."""
+    grammar = RuleLibrary()
+    for rid in sorted({record.rule_id for record in records}):
+        grammar.intern_code(codes[rid])
+    renumbered = []
+    for record in records:
+        rid = grammar.index[codes[record.rule_id]]
+        grammar.record_extraction(rid)
+        renumbered.append(record if rid == record.rule_id else replace(record, rule_id=rid))
+    return grammar, renumbered
 
 
 def record_bits(

@@ -9,8 +9,8 @@ Fragments and masks are stored as integer bitmasks over fragment positions
 
 A rule's code is ``k + 3`` bytes: ``k``, ``i_mask``, ``o_mask``, then one
 byte per adjacency row, all in canonical position order.
-``rule_from_code`` rejects a code of any other length, and
-``RuleLibrary.from_codes`` a code that is not the canonical code of its rule.
+``rule_from_code`` rejects a code of any other length, and ``check_codes``
+a code that is not the canonical code of its rule.
 
 Canonical codes are computed on these raw fields, ``(k, adj, i_mask,
 o_mask)``, and memoized in ``canonical_form``'s ``lru_cache`` under that
@@ -176,6 +176,21 @@ def rule_from_code(code: bytes) -> Rule:
     return Rule(code[0], tuple(code[3:]), code[1], code[2])
 
 
+def check_codes(codes: list[bytes]) -> None:
+    """Check stored rule codes: ``RuleError`` from ``rule_from_code`` on a
+    code of no valid rule, ``ValueError`` on a code that is not the
+    canonical code of its rule, which would store one rule under two ids,
+    and on a repeated code, which would otherwise shift every later rule id."""
+    seen: set[bytes] = set()
+    for code in codes:
+        rule = rule_from_code(code)
+        if canonical_code(rule.k, rule.adj, rule.i_mask, rule.o_mask) != code:
+            raise ValueError(f"rule code {code.hex()} is not canonical")
+        if code in seen:
+            raise ValueError(f"rule code {code.hex()} appears twice")
+        seen.add(code)
+
+
 # -- library ---------------------------------------------------------------
 
 
@@ -205,25 +220,6 @@ class RuleLibrary:
         self.codes.append(code)
         self.frequency.append(0)
         return rid, True
-
-    @classmethod
-    def from_codes(cls, codes: list[bytes]) -> "RuleLibrary":
-        """Rebuild a stored library; rule ids follow the order of ``codes``.
-
-        Each code is checked with ``rule_from_code`` (``RuleError`` if it is
-        no valid rule).  Raises ``ValueError`` on a code that is not the
-        canonical code of its rule, which would store one rule under two
-        ids, and on a repeated code, which would otherwise shift every later
-        rule id.  Frequencies start at 0.
-        """
-        library = cls()
-        for code in codes:
-            rule = rule_from_code(code)
-            if canonical_code(rule.k, rule.adj, rule.i_mask, rule.o_mask) != code:
-                raise ValueError(f"rule code {code.hex()} is not canonical")
-            if not library.intern_code(code)[1]:
-                raise ValueError(f"rule code {code.hex()} appears twice")
-        return library
 
     def record_extraction(self, rid: int) -> None:
         self.frequency[rid] += 1

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
@@ -41,10 +42,16 @@ def library_with_counts(counts):
     return lib
 
 
-def test_rule_distribution():
+def test_rule_distribution(demo6):
+    """An extraction's grammar holds only the rules its records use, so its
+    distribution is every rule's code with the number of records naming it."""
     lib = library_with_counts([3, 1])
     assert rule_distribution(lib) == {lib.codes[0]: 3, lib.codes[1]: 1}
-    assert rule_distribution(library_with_counts([0, 0])) == {}
+    assert rule_distribution(RuleLibrary()) == {}
+    res = extract(demo6, ExtractConfig(k_min=2, k_max=3))
+    dist = rule_distribution(res.grammar)
+    assert dist == Counter(res.grammar.codes[r.rule_id] for r in res.records)
+    assert list(dist) == res.grammar.codes
 
 
 def test_single_rule_carries_full_mass(demo6):

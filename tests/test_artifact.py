@@ -115,6 +115,9 @@ FAULTS = {
     "residual_freed_active": "residual active ids",
     "residual_edge_to_freed": "is not active",
     "residual_self_loop": "self-loop",
+    "code_unused": "no record uses",
+    "config_k_max": "k_max must be at most",
+    "config_k_min": "k_min must be at least",
     **{f"account_{figure}": "bit account" for figure in ACCOUNT_FIGURES},
 }
 
@@ -136,7 +139,10 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     active id or a freed id marked active decodes into another graph.  An
     edge to a freed id or a self-loop is no residual edge.  Every figure of
     the bit account but ``original_bits`` follows from the codes, the
-    records and the residual, so one set to 0 is rejected."""
+    records and the residual, so one set to 0 is rejected.  A stored code
+    that no record uses would not come back on the next save.  A ``config``
+    outside the ranges ``ExtractConfig`` takes is a fault of the artifact,
+    not a configuration error of the run that loads it."""
     obj = result_to_obj(extract(demo6, ExtractConfig(k_min=2, k_max=3)))
     gram = obj["grammar"]
     record = obj["records"][0]
@@ -162,6 +168,14 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
         gram["codes"][0] += "00"
     elif fault == "one_node_rule":
         gram["codes"][0] = "01010100"
+    elif fault == "code_unused":
+        # a valid canonical rule (one edge, no boundary) that no record names
+        assert "0200000001" not in gram["codes"]
+        gram["codes"].append("0200000001")
+    elif fault == "config_k_max":
+        obj["config"]["k_max"] = 9
+    elif fault == "config_k_min":
+        obj["config"]["k_min"] = 1
     elif fault == "code_relabelled":
         # 0 -> 1 with the out-boundary at 1, relabelled as 1 -> 0 with it at 0
         assert gram["codes"][0] == "0200020200"
@@ -207,6 +221,10 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
 
 SCHEMA_2_CASES = {
     "binary_tree_127_k5": (lambda: gen_binary_tree(127), ExtractConfig(k_min=2, k_max=5)),
+    "binary_tree_127_k5_mdl_stop_truncated": (
+        lambda: gen_binary_tree(127),
+        ExtractConfig(k_min=2, k_max=5, mdl_stop=True),
+    ),
     "er_60_180_k3": (lambda: gen_er(60, 180, 1), ExtractConfig(k_min=2, k_max=3)),
     "er_60_180_k3_mdl_stop_no_records": (
         lambda: gen_er(60, 180, 1),
@@ -217,30 +235,28 @@ SCHEMA_2_CASES = {
 
 @pytest.mark.parametrize("name", sorted(SCHEMA_2_CASES))
 def test_schema_2_stores_used_rules_only(tmp_path, name):
-    """The artifact keeps only the codes that the records use, in ascending
-    order of their in-memory id; loading rebuilds the frequencies under
-    the new ids, and the result still decodes."""
+    """An extraction's grammar holds only the rules its records use, each
+    used at least once, so the artifact stores it as it is: loading a saved
+    result gives back its codes, frequencies, records, residual, account
+    and config, and the loaded result decodes.  The ``mdl_stop`` cases keep
+    a truncated prefix of the records, and no record at all."""
     make, config = SCHEMA_2_CASES[name]
     graph = make()
     res = extract(graph, config)
+    assert sorted({r.rule_id for r in res.records}) == list(range(len(res.grammar)))
     path = tmp_path / "artifact.json"
     save_artifact(res, path)
     obj = json.loads(path.read_text())
-
-    used = sorted({r.rule_id for r in res.records})
-    assert obj["grammar"] == {"codes": [res.grammar.codes[rid].hex() for rid in used]}
-    assert len(obj["records"]) == len(res.records)
-    for stored, record in zip(obj["records"], res.records):
-        assert obj["grammar"]["codes"][stored["rule_id"]] == res.grammar.codes[record.rule_id].hex()
+    assert obj["grammar"] == {"codes": [code.hex() for code in res.grammar.codes]}
+    for stored in obj["records"]:
         assert set(stored) == {"rule_id", "node_ids", "edits"}
 
     loaded, _ = load_artifact(path)
-    new_id = {rid: i for i, rid in enumerate(used)}
-    assert loaded.grammar.codes == [res.grammar.codes[rid] for rid in used]
-    assert loaded.grammar.frequency == [res.grammar.frequency[rid] for rid in used]
+    assert loaded.grammar.codes == res.grammar.codes
+    assert loaded.grammar.frequency == res.grammar.frequency
+    assert loaded.records == res.records
+    assert loaded.residual.n0 == res.residual.n0
+    assert loaded.residual == res.residual
     assert loaded.account == res.account
-    assert [(new_id[r.rule_id], r.node_ids, r.edits) for r in res.records] == [
-        (r.rule_id, r.node_ids, r.edits) for r in loaded.records
-    ]
+    assert loaded.config == res.config
     assert decode(loaded) == graph
-

@@ -3,12 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import vrgc
 from vrgc.artifact import load_artifact
 from vrgc.cli import main
 from vrgc.engine import bit_account
+from vrgc.rules import rule_from_code, rule_to_dot
 from conftest import DEMO6_EDGES
 
 
@@ -142,6 +146,81 @@ def test_roundtrip_residual_edge_to_freed_id_exits_1(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+ROUNDTRIP_SOURCES = {
+    "bintree": ["--generator", "bintree"],
+    "treerings": ["--generator", "treerings", "--branching", "2", "--ring-size", "5"],
+    "ringlat": ["--generator", "ringlat"],
+    "er": ["--generator", "er", "--edges", "60"],
+    "chunglu": ["--generator", "chunglu"],
+    "bintree_rewired_exhaustive": ["--generator", "bintree", "--rewire", "0.1", "-s", "off"],
+}
+
+
+@pytest.mark.parametrize("name", list(ROUNDTRIP_SOURCES))
+def test_roundtrip_every_generator(tmp_path, capsys, name):
+    """Every ``--generator`` choice extracts to an artifact that decodes
+    back into the generated graph; one case rewires the tree first and
+    turns the shortcut off."""
+    source = ROUNDTRIP_SOURCES[name] + ["--nodes", "30", "--kmax", "3", "--seed", "2"]
+    out = tmp_path / "out"
+    assert main(["extract", *source, "--out", str(out)]) == 0
+    assert main(["roundtrip", *source, "--artifact", str(out / "artifact.json")]) == 0
+    assert "round-trip ok: 30 nodes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edges, difference",
+    [
+        (DEMO6_EDGES + [(5, 0)], "edge 5->0 missing from decoded graph"),
+        ([e for e in DEMO6_EDGES if e != (1, 2)], "unexpected edge 1->2 in decoded graph"),
+        (DEMO6_EDGES + [(5, 6)], "node 6 missing from decoded graph"),
+        ([e for e in DEMO6_EDGES if e != (3, 5)], "unexpected node 5 in decoded graph"),
+    ],
+    ids=["edge_missing", "edge_unexpected", "node_missing", "node_unexpected"],
+)
+def test_roundtrip_against_another_graph_exits_3(tmp_path, capsys, edges, difference):
+    """An intact artifact checked against a graph it was not extracted
+    from decodes, differs, and the message names the first difference."""
+    out = tmp_path / "out"
+    assert main(["extract", "--input", str(write_demo(tmp_path)), "--out", str(out)]) == 0
+    other = tmp_path / "other.edges"
+    other.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    argv = ["roundtrip", "--input", str(other), "--artifact", str(out / "artifact.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"round-trip mismatch: {difference}\n"
+
+
+def test_outputs_share_rule_ids(tmp_path):
+    """``artifact.json``, ``grammar.json``, ``report.json`` and the
+    ``rule_<id>.dot`` files number the rules alike, and list only the rules
+    the records use: three on a 3000-node binary tree at ``kmax`` 7."""
+    out = tmp_path / "out"
+    argv = ["extract", "--generator", "bintree", "--nodes", "3000", "--kmax", "7"]
+    assert main(argv + ["--out", str(out), "--emit", "json,dot"]) == 0
+    art = json.loads((out / "artifact.json").read_text())
+    grammar = json.loads((out / "grammar.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    codes = [bytes.fromhex(c) for c in art["grammar"]["codes"]]
+    assert len(codes) == len(grammar["rules"]) == 3
+    counts = Counter(r["rule_id"] for r in art["records"])
+    assert sorted(counts) == list(range(len(codes)))
+    for rid, rule in enumerate(grammar["rules"]):
+        stored = rule_from_code(codes[rid])
+        assert rule["id"] == rid
+        assert rule["frequency"] == counts[rid]
+        assert [tuple(e) for e in rule["edges"]] == stored.edge_list()
+    assert sorted(grammar["order"]) == list(range(len(codes)))
+    assert [(r["id"], r["frequency"]) for r in report["rules"]] == [
+        (rid, counts[rid]) for rid in grammar["order"]
+    ]
+    assert sorted(path.name for path in out.glob("rule_*.dot")) == [
+        f"rule_{rid}.dot" for rid in range(len(codes))
+    ]
+    for rid, code in enumerate(codes):
+        dot = rule_to_dot(rule_from_code(code), name=f"rule_{rid}")
+        assert (out / f"rule_{rid}.dot").read_text() == dot
+
+
 def test_roundtrip_unreadable_artifact_exits_1(tmp_path):
     edges = write_demo(tmp_path)
     bad = tmp_path / "bad.json"
@@ -149,15 +228,18 @@ def test_roundtrip_unreadable_artifact_exits_1(tmp_path):
     assert main(["roundtrip", "--input", str(edges), "--artifact", str(bad)]) == 1
 
 
-def test_sweep_single_point(tmp_path):
+@pytest.mark.parametrize(
+    "axis, value", [("kmax", "3"), ("nodes", "40"), ("rewire", "0.1")], ids=["kmax", "nodes", "rewire"]
+)
+def test_sweep_single_point(tmp_path, axis, value):
     out = tmp_path / "sweep"
     code = main(
         [
             "sweep",
             "--generator", "bintree",
             "--nodes", "63",
-            "--axis", "kmax",
-            "--values", "3",
+            "--axis", axis,
+            "--values", value,
             "--out", str(out),
         ]
     )
@@ -165,7 +247,8 @@ def test_sweep_single_point(tmp_path):
     with (out / "sweep.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
-    assert rows[0]["param"] == "kmax"
+    assert rows[0]["param"] == axis
+    assert float(rows[0]["value"]) == float(value)
     assert list(rows[0]) == [
         "param", "value", "compression_rate", "runtime_seconds", "rules", "extractions",
     ]
