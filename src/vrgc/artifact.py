@@ -135,6 +135,6 @@ def _record_from_obj(r: dict, codes: list[bytes], n0: int) -> ApplicationRecord:
 def load_artifact(path: str | Path) -> tuple[ExtractionResult, dict]:
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactInvalid(f"not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactInvalid(f"unreadable artifact: {exc}") from exc
     return result_from_obj(obj)

@@ -90,11 +90,13 @@ class ExtractionResult:
 
 @dataclass(frozen=True)
 class Choice:
+    """A selected rule and one cheapest occurrence, as the index scored
+    them; ``extract_one`` checks the code and cost against the graph."""
+
     rule_id: int
     code: bytes
     value: Fraction
     nodes: tuple[int, ...]
-    pair: tuple[int, int]
     cost: int
 
 
@@ -163,22 +165,23 @@ def select_best(state: EnumState) -> Optional[Choice]:
         return None
     best = heap[0]
     nodes = min(state.tables[best.code][best.cost])
-    pair = state.entries[nodes].pairs[best.code]
-    return Choice(best.rid, best.code, best.value, nodes, pair, best.cost)
+    return Choice(best.rid, best.code, best.value, nodes, best.cost)
 
 
 def extract_one(graph: DiGraph, choice: Choice) -> ApplicationRecord:
     """Build the chosen occurrence's replay record, then apply it in
-    place: toggle its edits and collapse its nodes."""
+    place: toggle its edits and collapse its nodes.  The record follows the
+    first minimum-cost mask pair with the chosen code, as registration saw
+    it; ``StaleCandidate``, before any edit, if no pair at that cost has it."""
     nodes = choice.nodes
-    i_mask, o_mask = choice.pair
     analysis = analyze_set(graph, nodes)
+    for i_mask, o_mask in analysis.mask_pairs() if analysis.cost == choice.cost else ():
+        code, perm = canonical_form(len(nodes), analysis.adj, i_mask, o_mask)
+        if code == choice.code:
+            break
+    else:
+        raise StaleCandidate(f"{nodes} no longer has rule {choice.rule_id} at cost {choice.cost}")
     edits = boundary_edits(analysis, i_mask, o_mask)
-    if len(edits) != choice.cost:
-        raise StaleCandidate(
-            f"occurrence {nodes} scored {choice.cost} but costs {len(edits)} now"
-        )
-    _, perm = canonical_form(len(nodes), analysis.adj, i_mask, o_mask)
     canon_pos = {old: new for new, old in enumerate(perm)}
     record = ApplicationRecord(
         choice.rule_id,
@@ -218,10 +221,7 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
     # With ``mdl_stop``, residual_bits[p] is the residual's size after the
     # first p records.
     residual_bits = [original_bits]
-    while True:
-        choice = select_best(state)
-        if choice is None:
-            break
+    while (choice := select_best(state)) is not None:
         record = extract_one(g, choice)
         if config.mdl_stop:
             residual_bits.append(b_graph(g.num_nodes(), g.num_edges()))
@@ -318,10 +318,10 @@ def replay(
     for record in reversed(records):
         if not 0 <= record.rule_id < len(library.codes):
             raise CorruptRecord(f"unknown rule id {record.rule_id}")
-        rule = rules.get(record.rule_id)
-        if rule is None:
-            rule = rules[record.rule_id] = rule_from_code(library.codes[record.rule_id])
         try:
+            rule = rules.get(record.rule_id)
+            if rule is None:
+                rule = rules[record.rule_id] = rule_from_code(library.codes[record.rule_id])
             apply_rule(g, record.survivor, rule, record.node_ids)
             _toggle_edits(g, record)
         except CorruptRecord:

@@ -108,8 +108,10 @@ def enumerate_connected_sets(
 
 @dataclass
 class SetEntry:
+    """An indexed set's minimum edit cost and minimum-cost rule codes, first seen first."""
+
     cost: int
-    pairs: dict[bytes, tuple[int, int]]  # code -> its first (i, o) mask pair, first-seen order
+    codes: tuple[bytes, ...]
 
 
 class EnumState:
@@ -153,19 +155,15 @@ class EnumState:
         (as the benchmark does before each round) starts registration cold.
         """
         analysis = analyze_set(self.graph, nodes)
-        k = len(nodes)
-        pairs: dict[bytes, tuple[int, int]] = {}
-        for i_mask, o_mask in analysis.mask_pairs():
-            code = canonical_code(k, analysis.adj, i_mask, o_mask)
-            if code not in pairs:
-                pairs[code] = (i_mask, o_mask)
-                self.library.intern_code(code)
-        cost = analysis.cost
-        self.entries[nodes] = SetEntry(cost, pairs)
+        k, cost = len(nodes), analysis.cost
+        pairs = analysis.mask_pairs()
+        codes = tuple(dict.fromkeys(canonical_code(k, analysis.adj, i, o) for i, o in pairs))
+        self.entries[nodes] = SetEntry(cost, codes)
         self._cost_counts[cost] = self._cost_counts.get(cost, 0) + 1
-        for code in pairs:
+        for code in codes:
+            self.library.intern_code(code)
             self.tables.setdefault(code, {}).setdefault(cost, set()).add(nodes)
-        self.dirty.update(pairs)
+        self.dirty.update(codes)
         return cost
 
     def remove_set(self, nodes: tuple[int, ...]) -> None:
@@ -175,14 +173,14 @@ class EnumState:
             self._cost_counts[entry.cost] = count
         else:
             del self._cost_counts[entry.cost]
-        for code in entry.pairs:
+        for code in entry.codes:
             levels = self.tables[code]
             levels[entry.cost].discard(nodes)
             if not levels[entry.cost]:
                 del levels[entry.cost]
             if not levels:
                 del self.tables[code]
-        self.dirty.update(entry.pairs)
+        self.dirty.update(entry.codes)
 
     def remove_touching(self, nodes: set[int]) -> None:
         doomed = [t for t in self.entries if nodes.intersection(t)]

@@ -221,11 +221,20 @@ def test_outputs_share_rule_ids(tmp_path):
         assert (out / f"rule_{rid}.dot").read_text() == dot
 
 
-def test_roundtrip_unreadable_artifact_exits_1(tmp_path):
+@pytest.mark.parametrize("kind", ["missing", "directory", "non_utf8", "truncated_json"])
+def test_roundtrip_unreadable_artifact_exits_1(tmp_path, capsys, kind):
+    """An artifact that cannot be read as JSON is a parse error: exit 1
+    with ``error:``, not a traceback."""
     edges = write_demo(tmp_path)
     bad = tmp_path / "bad.json"
-    bad.write_text("{")
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "non_utf8":
+        bad.write_bytes(b'{"schema_version": "\xff"}')
+    elif kind == "truncated_json":
+        bad.write_text("{")
     assert main(["roundtrip", "--input", str(edges), "--artifact", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: unreadable artifact: ")
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from vrgc.engine import (
     ApplicationRecord,
     Choice,
     CorruptRecord,
+    StaleCandidate,
     decode,
     extract,
     extract_one,
@@ -212,9 +213,31 @@ def test_extract_one_rejects_disconnected_set_before_editing(demo6):
     ``extract_one`` builds its canonical form, before any edit or collapse."""
     nodes = (0, 5)
     analysis = analyze_set(demo6, nodes)
-    choice = Choice(0, b"", Fraction(1), nodes, analysis.mask_pairs()[0], analysis.cost)
+    choice = Choice(0, b"", Fraction(1), nodes, analysis.cost)
     before = demo6.copy()
     with pytest.raises(RuleError):
+        extract_one(demo6, choice)
+    assert demo6 == before
+
+
+@pytest.mark.parametrize("stale", ["code", "cost"])
+def test_extract_one_rejects_stale_choice_before_editing(demo6, stale):
+    """A choice whose set no longer has the chosen code at the chosen cost
+    raises ``StaleCandidate`` and leaves the graph as it was.  In the
+    ``code`` case the set keeps its cost, so a cost check alone would write
+    the record under a rule the fragment does not have."""
+    state = filled_index(demo6, ExtractConfig(k_min=2, k_max=3, shortcut_s=None))
+    nodes, entry = next(
+        (t, e) for t, e in state.entries.items() if len(t) == 3 and e.cost == 0
+    )
+    if stale == "code":
+        code = next(c for c in state.tables if c[0] == 3 and c not in entry.codes)
+        cost = entry.cost
+    else:
+        code, cost = entry.codes[0], entry.cost + 1
+    choice = Choice(state.library.index[code], code, Fraction(1), nodes, cost)
+    before = demo6.copy()
+    with pytest.raises(StaleCandidate):
         extract_one(demo6, choice)
     assert demo6 == before
 
@@ -252,3 +275,12 @@ def test_replay_rejects_colliding_ids(demo6):
     bad = ApplicationRecord(last.rule_id, dup, last.edits)
     with pytest.raises(CorruptRecord):
         replay(res.residual, res.records[:-1] + [bad], res.grammar)
+
+
+def test_replay_rejects_truncated_rule_code(demo6):
+    """A grammar code that lost its last byte is no rule; replay reports it
+    as ``CorruptRecord`` like every other replay fault."""
+    res = extract(demo6, ExtractConfig(k_min=2, k_max=2))
+    res.grammar.codes[0] = res.grammar.codes[0][:-1]
+    with pytest.raises(CorruptRecord, match="replay failed at rule 0"):
+        decode(res)

@@ -127,4 +127,4 @@ def test_incremental_update_matches_scratch(demo6):
                 t: e.cost for t, e in fresh.entries.items()
             }
             for t, entry in state.entries.items():
-                assert sorted(entry.pairs) == sorted(fresh.entries[t].pairs)
+                assert entry.codes == fresh.entries[t].codes

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import filled_index, naive_set_read
 from vrgc import engine
 from vrgc.enumeration import ExtractConfig
-from vrgc.mdl import CostLevel, analyze_set, default_params, pcr
-from vrgc.rules import Rule, canonical_code
+from vrgc.mdl import CostLevel, analyze_set, boundary_edits, default_params, pcr
+from vrgc.rules import Rule, canonical_code, canonical_form
 from vrgc.synth import gen_er, gen_ring_lattice
 
 
@@ -37,12 +37,12 @@ def full_scan_select(state):
             best = (key, code, value, min(levels[table[0].c]))
     if best is None:
         return None
-    (_, cost, _, rid), code, value, nodes = best
-    return rid, nodes, state.entries[nodes].pairs[code], cost, value
+    (_, cost, _, rid), _, value, nodes = best
+    return rid, nodes, cost, value
 
 
 def snapshot(state):
-    entries = {t: (e.cost, e.pairs) for t, e in state.entries.items()}
+    entries = {t: (e.cost, e.codes) for t, e in state.entries.items()}
     return entries, state.tables, state.c_best()
 
 
@@ -63,7 +63,7 @@ def test_incremental_selection_matches_full_scan(g, k_max, shortcut):
         if expected is None:
             assert got is None
         else:
-            assert (got.rule_id, got.nodes, got.pair, got.cost, got.value) == expected
+            assert (got.rule_id, got.nodes, got.cost, got.value) == expected
             assert isinstance(got.value, Fraction)
         calls.append(got)
         return got
@@ -82,8 +82,8 @@ def test_incremental_selection_matches_full_scan(g, k_max, shortcut):
 @example(g=gen_er(10, 20, 1), k_max=8)
 def test_incremental_index_matches_rebuild(g, k_max):
     """With the shortcut off, the index after every extraction equals one
-    rebuilt afresh on the mutated graph: entries, the codes (and mask
-    pairs) of each entry, the per-code tables and the cheapest cost."""
+    rebuilt afresh on the mutated graph: entries, the cost and codes of
+    each entry, the per-code tables and the cheapest cost."""
     config = ExtractConfig(k_min=2, k_max=k_max, shortcut_s=None)
     real = engine.update_after_extraction
     updates = []
@@ -99,26 +99,47 @@ def test_incremental_index_matches_rebuild(g, k_max):
     assert len(updates) == res.iterations
 
 
+def first_pairs(graph, nodes):
+    """Each canonical code of a set's validated minimum-cost rules, built one
+    per mask pair, mapped to the first mask pair that gives it."""
+    first = {}
+    adj = naive_set_read(graph, nodes)[0]
+    for i_mask, o_mask in analyze_set(graph, nodes).mask_pairs():
+        rule = Rule(len(nodes), adj, i_mask, o_mask)
+        first.setdefault(canonical_code(*astuple(rule)), (i_mask, o_mask))
+    return first
+
+
 def assert_registered_like_oracle(state, graph):
-    """Every entry's codes are the canonical codes of validated rules built
-    one per minimum-cost mask pair, in first-seen order, and its pairs are
-    the first pair seen for each code."""
+    """Every entry's codes are the oracle's codes, in first-seen order."""
     for nodes, entry in state.entries.items():
-        first = {}
-        adj = naive_set_read(graph, nodes)[0]
-        for i_mask, o_mask in analyze_set(graph, nodes).mask_pairs():
-            rule = Rule(len(nodes), adj, i_mask, o_mask)
-            first.setdefault(canonical_code(*astuple(rule)), (i_mask, o_mask))
-        assert list(entry.pairs.items()) == list(first.items())
+        assert entry.codes == tuple(first_pairs(graph, nodes))
+
+
+def expected_record(graph, choice):
+    """The record of a choice, read off the first mask pair that gives the
+    chosen code: node ids in that pair's canonical order, and its edits."""
+    nodes = choice.nodes
+    i_mask, o_mask = first_pairs(graph, nodes)[choice.code]
+    _, perm = canonical_form(len(nodes), naive_set_read(graph, nodes)[0], i_mask, o_mask)
+    pos = {old: new for new, old in enumerate(perm)}
+    edits = boundary_edits(analyze_set(graph, nodes), i_mask, o_mask)
+    return engine.ApplicationRecord(
+        choice.rule_id,
+        tuple(nodes[old] for old in perm),
+        tuple((pos[p], external, d) for p, external, d in edits),
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(g=small_er, k_max=st.integers(2, 4), shortcut=st.sampled_from([1, None]))
 def test_registration_matches_rule_oracle(g, k_max, shortcut):
+    """Registration matches the oracle after every extraction, and every
+    record follows the first mask pair that gives its rule's code."""
     config = ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut)
     assert_registered_like_oracle(filled_index(g, config), g)
 
-    real = engine.update_after_extraction
+    real, real_extract = engine.update_after_extraction, engine.extract_one
     updates = []
 
     def checked(state, record):
@@ -127,7 +148,16 @@ def test_registration_matches_rule_oracle(g, k_max, shortcut):
         updates.append(len(state.entries))
         return out
 
-    with mock.patch.object(engine, "update_after_extraction", checked):
+    def checked_extract(graph, choice):
+        expected = expected_record(graph, choice)
+        record = real_extract(graph, choice)
+        assert record == expected
+        return record
+
+    with (
+        mock.patch.object(engine, "update_after_extraction", checked),
+        mock.patch.object(engine, "extract_one", checked_extract),
+    ):
         res = engine.extract(g, config)
     assert len(updates) == res.iterations
 
