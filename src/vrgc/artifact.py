@@ -77,6 +77,11 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
         )
         codes = [bytes.fromhex(c) for c in obj["grammar"]["codes"]]
         check_codes(codes)
+        for code in codes:
+            if not config.k_min <= code[0] <= config.k_max:
+                raise ArtifactInvalid(
+                    f"a {code[0]}-node rule lies outside k {config.k_min}..{config.k_max}"
+                )
         res = obj["residual"]
         records = [_record_from_obj(r, codes, res["n0"]) for r in obj["records"]]
         freed: set[int] = set()
@@ -86,7 +91,8 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
                 raise ArtifactInvalid(f"record node ids {list(ids)} reuse a freed id")
             freed.update(record.freed_ids)
         active = set(res["active"])
-        if active != set(range(res["n0"])) - freed:
+        # a necessary condition of the check below, which builds O(n0) sets
+        if len(active) + len(freed) != res["n0"] or active != set(range(res["n0"])) - freed:
             raise ArtifactInvalid("residual active ids are not the ids that no record frees")
         grammar, records = used_grammar(codes, records)
         if grammar.codes != codes:

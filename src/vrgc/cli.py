@@ -107,6 +107,8 @@ def make_config(args) -> ExtractConfig:
 
 
 def _balanced_degrees(n: int, m: int) -> list[int]:
+    if n < 1:
+        raise ParamInvalid("need at least one node")
     base, extra = divmod(m, n)
     return [base + (1 if i < extra else 0) for i in range(n)]
 

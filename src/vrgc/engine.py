@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Optional
 
@@ -29,7 +28,6 @@ from .enumeration import (
 from .graphs import DiGraph
 from .mdl import (
     BitAccount,
-    CostLevel,
     analyze_set,
     b_application,
     b_graph,
@@ -90,47 +88,41 @@ class ExtractionResult:
 
 @dataclass(frozen=True)
 class Choice:
-    """A selected rule and one cheapest occurrence, as the index scored
-    them; ``extract_one`` checks the code and cost against the graph."""
+    """A selected rule and one cheapest occurrence, scored by ``state.keys[code]``;
+    ``extract_one`` checks the code and cost against the graph."""
 
     rule_id: int
     code: bytes
-    value: Fraction
     nodes: tuple[int, ...]
     cost: int
-
-
-def _cost_table(levels: dict[int, set[tuple[int, ...]]], k: int) -> list[CostLevel]:
-    return [CostLevel(c, len(levels[c]), len(levels[c]) * k) for c in sorted(levels)]
 
 
 class _Key:
     """Selection order of one rule code: the higher predicted nodes-per-bit
     first, then the cheaper occurrence, the smaller fragment and the older
-    rule id.  Values compare exactly by cross-multiplying numerators and
-    (positive) denominators; rule ids are unique, so no two keys tie."""
+    rule id.  ``mdl.pcr``'s ``(nodes, bits)`` pairs compare by cross-multiplying
+    (bits are positive), so equal ratios tie; rule ids are unique, so no two keys do."""
 
-    __slots__ = ("value", "num", "den", "cost", "k", "rid", "code")
+    __slots__ = ("nodes", "bits", "cost", "k", "rid", "code")
 
-    def __init__(self, value: Fraction, cost: int, k: int, rid: int, code: bytes):
-        self.value = value
-        self.num = value.numerator
-        self.den = value.denominator
+    def __init__(self, nodes: int, bits: int, cost: int, k: int, rid: int, code: bytes):
+        self.nodes = nodes
+        self.bits = bits
         self.cost = cost
         self.k = k
         self.rid = rid
         self.code = code
 
     def __lt__(self, other: "_Key") -> bool:
-        mine = self.num * other.den
-        theirs = other.num * self.den
+        mine = self.nodes * other.bits
+        theirs = other.nodes * self.bits
         if mine != theirs:
             return mine > theirs
         return (self.cost, self.k, self.rid) < (other.cost, other.k, other.rid)
 
 
 def select_best(state: EnumState) -> Optional[Choice]:
-    """Highest predicted nodes-per-bit rule plus one cheapest occurrence.
+    """The rule code whose table scores best by ``mdl.pcr``, plus one cheapest occurrence.
 
     Only the codes in ``state.dirty`` are rescored; every other code keeps
     the key stored at its last scoring.  Each new key is pushed onto
@@ -151,9 +143,7 @@ def select_best(state: EnumState) -> Optional[Choice]:
         rid = library.index[code]
         k = code[0]
         params = default_params(k, n0, library.frequency[rid] > 0)
-        table = _cost_table(levels, k)
-        value, _ = pcr(table, params)
-        key = keys[code] = _Key(value, table[0].c, k, rid, code)
+        key = keys[code] = _Key(*pcr(levels, k, params), min(levels), k, rid, code)
         heapq.heappush(heap, key)
     state.dirty.clear()
     if len(heap) > 3 * len(keys):
@@ -165,7 +155,7 @@ def select_best(state: EnumState) -> Optional[Choice]:
         return None
     best = heap[0]
     nodes = min(state.tables[best.code][best.cost])
-    return Choice(best.rid, best.code, best.value, nodes, best.cost)
+    return Choice(best.rid, best.code, nodes, best.cost)
 
 
 def extract_one(graph: DiGraph, choice: Choice) -> ApplicationRecord:

@@ -33,6 +33,12 @@ class ExtractConfig:
     mdl_stop: bool = False
 
     def __post_init__(self):
+        if type(self.k_min) is not int or type(self.k_max) is not int:
+            raise ConfigInvalid("k_min and k_max must be integers")
+        if self.shortcut_s is not None and type(self.shortcut_s) is not int:
+            raise ConfigInvalid("shortcut parameter must be an integer or None")
+        if type(self.mdl_stop) is not bool:
+            raise ConfigInvalid("mdl_stop must be a boolean")
         if self.k_min < 2:
             raise ConfigInvalid("k_min must be at least 2")
         if self.k_max > K_HARD_MAX:
@@ -183,7 +189,7 @@ class EnumState:
         self.dirty.update(entry.codes)
 
     def remove_touching(self, nodes: set[int]) -> None:
-        doomed = [t for t in self.entries if nodes.intersection(t)]
+        doomed = [t for t in self.entries if not nodes.isdisjoint(t)]
         for t in doomed:
             self.remove_set(t)
 

@@ -12,9 +12,7 @@ edge on a side incur no requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .graphs import DiGraph
 
@@ -136,12 +134,6 @@ def boundary_edits(
 # -- extraction-count prediction -------------------------------------------
 
 
-class CostLevel(NamedTuple):
-    c: int  # edit cost at this level
-    x: int  # occurrences at this cost
-    n: int  # total nodes covered by them
-
-
 @dataclass(frozen=True)
 class BitParams:
     C_R: int
@@ -150,22 +142,21 @@ class BitParams:
     C_edit: int
 
 
-def pcr(table: list[CostLevel], params: BitParams) -> tuple[Fraction, int]:
-    """Best nodes-per-bit ratio over whole-level prefixes.
-
+def pcr(levels: dict[int, set], k: int, params: BitParams) -> tuple[int, int]:
+    """Best nodes-per-bit over whole-level prefixes of a k-node rule's
+    ``{cost: occurrences}`` table, as the exact pair ``(nodes, bits)``.
     Equal to the exhaustive maximum over every extraction count n; ties go
-    to the smallest prefix.  Prefixes compare by cross-multiplication (bit
-    counts are positive); the winner is returned exactly as a rational.
-    """
-    best_nodes, best_bits, best_j = 0, 1, -1
+    to the smallest prefix, and prefixes compare by cross-multiplication
+    (bit counts are positive)."""
+    best_nodes, best_bits = 0, 1
     nodes = 0
     bits = params.C_R + params.C_ID
-    for j, lv in enumerate(table):
-        nodes += lv.n
-        bits += lv.x * (params.C_node + lv.c * params.C_edit)
-        if best_j < 0 or nodes * best_bits > best_nodes * bits:
-            best_nodes, best_bits, best_j = nodes, bits, j
-    return Fraction(best_nodes, best_bits), best_j
+    for c, occurrences in sorted(levels.items()):
+        nodes += len(occurrences) * k
+        bits += len(occurrences) * (params.C_node + c * params.C_edit)
+        if nodes * best_bits > best_nodes * bits:
+            best_nodes, best_bits = nodes, bits
+    return best_nodes, best_bits
 
 
 # -- bit accounting --------------------------------------------------------

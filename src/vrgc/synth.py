@@ -108,8 +108,8 @@ def gen_er(n_nodes: int, n_edges: int, seed: int) -> DiGraph:
     if n_nodes < 1:
         raise ParamInvalid("need at least one node")
     slots = n_nodes * (n_nodes - 1)
-    if n_edges > slots:
-        raise ParamInvalid(f"{n_edges} edges exceed the {slots} available pairs")
+    if not 0 <= n_edges <= slots:
+        raise ParamInvalid(f"{n_edges} edges: need 0 to the {slots} available pairs")
     rng = seed_stream(seed, "er")
     g = DiGraph(n_nodes)
     for idx in rng.sample(range(slots), n_edges):

@@ -1,12 +1,11 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
-from vrgc.mdl import BitParams, CostLevel
+from vrgc.mdl import BitParams
 
 # Six-node worked example used throughout: a=0, b=1, c=2, d=3, e=4, f=5.
 DEMO6_EDGES = [(0, 1), (1, 2), (1, 3), (2, 3), (3, 5), (4, 3)]
@@ -81,39 +80,45 @@ def naive_set_read(g: DiGraph, nodes: tuple) -> tuple:
 
 
 # -- extraction-count oracle ------------------------------------------------
-# ``mdl.pcr`` scores only whole-level prefixes; these give the predicted
-# bits and nodes for every extraction count n, which the tests maximise
-# exhaustively to check it.
+# ``mdl.pcr`` scores only whole-level prefixes of a rule's ``{cost:
+# occurrences}`` table; ``cost_of_n`` gives the predicted bits for every
+# extraction count n, and n extractions of a k-node rule remove n * k nodes,
+# which the tests maximise exhaustively to check it.
 
 
 class NOutOfRange(Exception):
     pass
 
 
-def _level_of_n(table: list[CostLevel], n: int) -> tuple[int, int]:
-    """Index j reached extracting cheapest-first, and the count taken there."""
-    total = sum(lv.x for lv in table)
+def _level_of_n(levels: dict[int, set], n: int) -> tuple[int, int]:
+    """Cost reached extracting cheapest-first, and the count taken there."""
+    total = sum(len(sets) for sets in levels.values())
     if not 1 <= n <= total:
         raise NOutOfRange(f"n={n} outside 1..{total}")
     consumed = 0
-    for j, lv in enumerate(table):
-        if n <= consumed + lv.x:
-            return j, n - consumed
-        consumed += lv.x
+    for c in sorted(levels):
+        x = len(levels[c])
+        if n <= consumed + x:
+            return c, n - consumed
+        consumed += x
     raise AssertionError("unreachable")
 
 
-def cost_of_n(table: list[CostLevel], params: BitParams, n: int) -> int:
+def cost_of_n(levels: dict[int, set], params: BitParams, n: int) -> int:
     """Predicted bits to perform ``n`` extractions of a rule, cheapest first."""
-    j, taken = _level_of_n(table, n)
+    c, taken = _level_of_n(levels, n)
     bits = params.C_R + params.C_ID + n * params.C_node
-    bits += taken * table[j].c * params.C_edit
-    bits += sum(lv.x * lv.c * params.C_edit for lv in table[:j])
+    bits += taken * c * params.C_edit
+    bits += sum(len(sets) * d * params.C_edit for d, sets in levels.items() if d < c)
     return bits
 
 
-def nodes_of_n(table: list[CostLevel], n: int) -> Fraction:
-    """Predicted node count removed by ``n`` extractions (may be fractional
-    inside a partially consumed level)."""
-    j, taken = _level_of_n(table, n)
-    return Fraction(taken, table[j].x) * table[j].n + sum(lv.n for lv in table[:j])
+def random_levels(rng: random.Random, k: int) -> dict[int, set]:
+    """A ``{cost: occurrences}`` table of a k-node rule: 1 to 6 levels at
+    costs 0, 1, ..., each of 1 to 10 k-node sets, no set in two levels."""
+    levels, start = {}, 0
+    for c in range(rng.randrange(1, 7)):
+        x = rng.randrange(1, 11)
+        levels[c] = {tuple(range(start + i * k, start + (i + 1) * k)) for i in range(x)}
+        start += x * k
+    return levels

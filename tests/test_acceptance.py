@@ -12,14 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DEMO6_EDGES, brute_connected_sets, cost_of_n, filled_index, nodes_of_n
+from conftest import DEMO6_EDGES, brute_connected_sets, cost_of_n, filled_index, random_levels
 from vrgc.analysis import kl_divergence, rule_distribution
 from vrgc.engine import decode, extract, record_bits, select_best
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
 from vrgc.mdl import (
     BitParams,
-    CostLevel,
     b_application,
     b_graph,
     b_rule,
@@ -110,25 +109,19 @@ def test_criterion_4_pcr_equivalence():
     with criterion(4, "prefix-max prediction equals exhaustive search, 1000 tables"):
         rng = random.Random(44)
         for _ in range(1000):
-            table = [
-                CostLevel(c, x, x * rng.randrange(2, 9))
-                for c, x in enumerate(
-                    rng.randrange(1, 11) for _ in range(rng.randrange(1, 7))
-                )
-            ]
+            k = rng.randrange(2, 9)
+            table = random_levels(rng, k)
             params = BitParams(
                 C_R=rng.randrange(0, 64),
                 C_ID=rng.randrange(1, 16),
                 C_node=rng.randrange(1, 16),
                 C_edit=rng.randrange(1, 16),
             )
-            value, _ = pcr(table, params)
-            total = sum(lv.x for lv in table)
+            total = sum(len(sets) for sets in table.values())
             exhaustive = max(
-                Fraction(nodes_of_n(table, n)) / cost_of_n(table, params, n)
-                for n in range(1, total + 1)
+                Fraction(n * k, cost_of_n(table, params, n)) for n in range(1, total + 1)
             )
-            assert value == exhaustive
+            assert Fraction(*pcr(table, k, params)) == exhaustive
 
 
 def test_criterion_5_bit_formulas_and_realized_identity():

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -118,6 +119,13 @@ FAULTS = {
     "code_unused": "no record uses",
     "config_k_max": "k_max must be at most",
     "config_k_min": "k_min must be at least",
+    "config_k_max_below_rules": "3-node rule lies outside k 2..2",
+    "config_k_min_above_rules": "2-node rule lies outside k 3..3",
+    "config_k_max_float": "must be integers",
+    "config_shortcut_bool": "shortcut parameter must be an integer or None",
+    "config_mdl_stop_string": "mdl_stop must be a boolean",
+    "config_mdl_stop_null": "mdl_stop must be a boolean",
+    "config_shortcut_fraction": "shortcut parameter must be an integer or None",
     **{f"account_{figure}": "bit account" for figure in ACCOUNT_FIGURES},
 }
 
@@ -141,8 +149,10 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     the bit account but ``original_bits`` follows from the codes, the
     records and the residual, so one set to 0 is rejected.  A stored code
     that no record uses would not come back on the next save.  A ``config``
-    outside the ranges ``ExtractConfig`` takes is a fault of the artifact,
-    not a configuration error of the run that loads it."""
+    outside the ranges or types ``ExtractConfig`` takes (``True`` is no
+    integer), or one whose k range excludes a stored rule, cannot have
+    produced the run: it is a fault of the artifact, not a configuration
+    error of the run that loads it."""
     obj = result_to_obj(extract(demo6, ExtractConfig(k_min=2, k_max=3)))
     gram = obj["grammar"]
     record = obj["records"][0]
@@ -172,10 +182,19 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
         # a valid canonical rule (one edge, no boundary) that no record names
         assert "0200000001" not in gram["codes"]
         gram["codes"].append("0200000001")
-    elif fault == "config_k_max":
-        obj["config"]["k_max"] = 9
-    elif fault == "config_k_min":
-        obj["config"]["k_min"] = 1
+    elif fault.startswith("config_"):
+        key, value = {
+            "config_k_max": ("k_max", 9),
+            "config_k_min": ("k_min", 1),
+            "config_k_max_below_rules": ("k_max", 2),
+            "config_k_min_above_rules": ("k_min", 3),
+            "config_k_max_float": ("k_max", 3.0),
+            "config_shortcut_bool": ("shortcut_s", True),
+            "config_mdl_stop_string": ("mdl_stop", "x"),
+            "config_mdl_stop_null": ("mdl_stop", None),
+            "config_shortcut_fraction": ("shortcut_s", 0.5),
+        }[fault]
+        obj["config"][key] = value
     elif fault == "code_relabelled":
         # 0 -> 1 with the out-boundary at 1, relabelled as 1 -> 0 with it at 0
         assert gram["codes"][0] == "0200020200"
@@ -217,6 +236,19 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     path.write_text(json.dumps(obj))
     with pytest.raises(ArtifactInvalid, match=FAULTS[fault]):
         load_artifact(path)
+
+
+def test_load_rejects_huge_n0_before_allocating(tmp_path, demo6):
+    """A residual ``n0`` far past the stored ids fails the count of active
+    and freed ids, before any set of ``n0`` ids is built."""
+    obj = result_to_obj(extract(demo6, ExtractConfig(k_min=2, k_max=3)))
+    obj["residual"]["n0"] = 10**12
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(obj))
+    started = time.perf_counter()
+    with pytest.raises(ArtifactInvalid, match="residual active ids"):
+        load_artifact(path)
+    assert time.perf_counter() - started < 1.0
 
 
 SCHEMA_2_CASES = {

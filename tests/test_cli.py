@@ -69,6 +69,19 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["extract", "--input", str(edges), "--kmax", "9", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--generator", "chunglu", "--nodes", "0"],
+        ["--generator", "er", "--nodes", "10", "--edges", "-1"],
+    ],
+    ids=["chunglu_no_nodes", "er_negative_edges"],
+)
+def test_bad_generator_input_exits_2(tmp_path, capsys, argv):
+    assert main(["extract", *argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_roundtrip_ok(tmp_path, capsys):
     edges = write_demo(tmp_path)
     assert main(["roundtrip", "--input", str(edges)]) == 0

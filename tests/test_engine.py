@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,7 +44,8 @@ def test_demo6_first_selection(demo6):
     assert choice is not None
     assert choice.nodes == (0, 1)
     assert choice.cost == 0
-    assert choice.value == Fraction(6, 35)
+    key = state.keys[choice.code]
+    assert (key.nodes, key.bits) == (6, 35)
     rule = rule_from_code(lib.codes[choice.rule_id])
     assert rule.k == 2
     assert len(rule.edge_list()) == 1
@@ -213,7 +213,7 @@ def test_extract_one_rejects_disconnected_set_before_editing(demo6):
     ``extract_one`` builds its canonical form, before any edit or collapse."""
     nodes = (0, 5)
     analysis = analyze_set(demo6, nodes)
-    choice = Choice(0, b"", Fraction(1), nodes, analysis.cost)
+    choice = Choice(0, b"", nodes, analysis.cost)
     before = demo6.copy()
     with pytest.raises(RuleError):
         extract_one(demo6, choice)
@@ -235,7 +235,7 @@ def test_extract_one_rejects_stale_choice_before_editing(demo6, stale):
         cost = entry.cost
     else:
         code, cost = entry.codes[0], entry.cost + 1
-    choice = Choice(state.library.index[code], code, Fraction(1), nodes, cost)
+    choice = Choice(state.library.index[code], code, nodes, cost)
     before = demo6.copy()
     with pytest.raises(StaleCandidate):
         extract_one(demo6, choice)

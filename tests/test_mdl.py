@@ -10,12 +10,11 @@ from conftest import (
     brute_connected_sets,
     cost_of_n,
     naive_set_read,
-    nodes_of_n,
     random_digraph,
+    random_levels,
 )
 from vrgc.mdl import (
     BitParams,
-    CostLevel,
     analyze_set,
     b_application,
     b_graph,
@@ -181,7 +180,8 @@ def test_edits_produce_exact_occurrence(seed):
 
 
 def table_for_tests():
-    return [CostLevel(0, 2, 4), CostLevel(1, 1, 2), CostLevel(2, 1, 2)]
+    """The worked example's winning pair rule: occurrences at costs {0,0,1,2}."""
+    return {0: {(0, 1), (1, 2)}, 1: {(2, 3)}, 2: {(1, 3)}}
 
 
 def test_cost_of_n_and_nodes_of_n():
@@ -191,52 +191,36 @@ def test_cost_of_n_and_nodes_of_n():
     assert cost_of_n(table, params, 2) == 12 + 3 + 10
     assert cost_of_n(table, params, 3) == 12 + 3 + 15 + 5
     assert cost_of_n(table, params, 4) == 12 + 3 + 20 + 5 + 10
-    assert nodes_of_n(table, 1) == 2
-    assert nodes_of_n(table, 3) == 6
+    # the best prefix is three extractions, which remove three 2-node sets
+    assert pcr(table, 2, params) == (3 * 2, cost_of_n(table, params, 3))
     with pytest.raises(NOutOfRange):
         cost_of_n(table, params, 0)
     with pytest.raises(NOutOfRange):
         cost_of_n(table, params, 5)
 
 
-def test_fractional_nodes_inside_level():
-    table = [CostLevel(0, 2, 5)]
-    assert nodes_of_n(table, 1) == Fraction(5, 2)
-
-
 def test_pcr_demo6_value():
     """Hand-checked prediction for the worked example's winning rule."""
     params = BitParams(C_R=12, C_ID=3, C_node=5, C_edit=5)
-    value, level = pcr(table_for_tests(), params)
-    assert value == Fraction(6, 35)
-    assert level == 1
-
-
-def random_table(rng):
-    table = []
-    for c in range(rng.randrange(1, 7)):
-        x = rng.randrange(1, 11)
-        table.append(CostLevel(c, x, x * rng.randrange(2, 9)))
-    return table
+    assert pcr(table_for_tests(), 2, params) == (6, 35)
 
 
 def test_pcr_prefix_equals_exhaustive():
     rng = random.Random(99)
     for _ in range(300):
-        table = random_table(rng)
+        k = rng.randrange(2, 9)
+        table = random_levels(rng, k)
         params = BitParams(
             C_R=rng.randrange(0, 40),
             C_ID=rng.randrange(1, 12),
             C_node=rng.randrange(1, 12),
             C_edit=rng.randrange(1, 12),
         )
-        value, _ = pcr(table, params)
-        total = sum(lv.x for lv in table)
+        total = sum(len(sets) for sets in table.values())
         exhaustive = max(
-            Fraction(nodes_of_n(table, n)) / cost_of_n(table, params, n)
-            for n in range(1, total + 1)
+            Fraction(n * k, cost_of_n(table, params, n)) for n in range(1, total + 1)
         )
-        assert value == exhaustive
+        assert Fraction(*pcr(table, k, params)) == exhaustive
 
 
 def test_bit_formula_spot_checks():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import filled_index, naive_set_read
 from vrgc import engine
 from vrgc.enumeration import ExtractConfig
-from vrgc.mdl import CostLevel, analyze_set, boundary_edits, default_params, pcr
+from vrgc.mdl import analyze_set, boundary_edits, default_params, pcr
 from vrgc.rules import Rule, canonical_code, canonical_form
 from vrgc.synth import gen_er, gen_ring_lattice
 
@@ -20,25 +20,24 @@ from vrgc.synth import gen_er, gen_ring_lattice
 def full_scan_select(state):
     """Reference selection: every known rule code is scored on every call,
     ordered by (-value, min cost, k, rule id), then the smallest node set
-    among the winner's cheapest occurrences."""
+    among the winner's cheapest occurrences.  Returns the winner's rule id,
+    node set and cost, and its value as a normalised fraction."""
     library, n0 = state.library, state.graph.n0
     best = None
     for code, levels in state.tables.items():
         rid = library.index[code]
         k = code[0]
+        assert all(len(t) == k for sets in levels.values() for t in sets)
         params = default_params(k, n0, library.frequency[rid] > 0)
-        table = [
-            CostLevel(c, len(levels[c]), sum(len(t) for t in levels[c]))
-            for c in sorted(levels)
-        ]
-        value, _ = pcr(table, params)
-        key = (-value, table[0].c, k, rid)
+        value = Fraction(*pcr(levels, k, params))
+        cost = min(levels)
+        key = (-value, cost, k, rid)
         if best is None or key < best[0]:
-            best = (key, code, value, min(levels[table[0].c]))
+            best = (key, min(levels[cost]))
     if best is None:
         return None
-    (_, cost, _, rid), _, value, nodes = best
-    return rid, nodes, cost, value
+    (value, cost, _, rid), nodes = best
+    return rid, nodes, cost, -value
 
 
 def snapshot(state):
@@ -63,8 +62,9 @@ def test_incremental_selection_matches_full_scan(g, k_max, shortcut):
         if expected is None:
             assert got is None
         else:
-            assert (got.rule_id, got.nodes, got.cost, got.value) == expected
-            assert isinstance(got.value, Fraction)
+            key = state.keys[got.code]
+            value = Fraction(key.nodes, key.bits)
+            assert (got.rule_id, got.nodes, got.cost, value) == expected
         calls.append(got)
         return got
 
@@ -174,6 +174,12 @@ def test_registration_matches_rule_oracle(g, k_max, shortcut):
     )
 )
 def test_key_order_matches_tuple_order(items):
-    """Cross-multiplied keys sort like (-value, min cost, k, rule id)."""
-    keys = [engine._Key(v, c, k, rid, b"") for rid, (v, c, k) in enumerate(items)]
-    assert sorted(keys) == sorted(keys, key=lambda x: (-x.value, x.cost, x.k, x.rid))
+    """Cross-multiplied keys sort like (-value, min cost, k, rule id), also
+    when equal values are given by unreduced terms."""
+    keys = [
+        engine._Key(v.numerator * (rid + 1), v.denominator * (rid + 1), c, k, rid, b"")
+        for rid, (v, c, k) in enumerate(items)
+    ]
+    assert sorted(keys) == sorted(
+        keys, key=lambda x: (-Fraction(x.nodes, x.bits), x.cost, x.k, x.rid)
+    )
