@@ -145,13 +145,15 @@ def load_or_generate(args) -> DiGraph:
 
 
 def _emit_set(args) -> set[str]:
-    return {token.strip() for token in args.emit.split(",") if token.strip()}
+    emit = {token.strip() for token in args.emit.split(",") if token.strip()}
+    if not emit <= {"json", "dot"}:
+        raise CLIConfigError(f"--emit takes json and dot, got {args.emit!r}")
+    return emit
 
 
-def _write_outputs(args, result, manifest) -> Path:
+def _write_outputs(args, emit, result, manifest) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    emit = _emit_set(args)
     if "json" in emit:
         save_artifact(result, out / "artifact.json", manifest)
         grammar_obj = {"manifest": manifest, **result.grammar.to_json_obj()}
@@ -167,14 +169,14 @@ def _write_outputs(args, result, manifest) -> Path:
         for rid in result.grammar.ordered_ids():
             dot = rule_to_dot(rule_from_code(result.grammar.codes[rid]), name=f"rule_{rid}")
             (out / f"rule_{rid}.dot").write_text(dot)
-    return out
 
 
 def cmd_extract(args) -> int:
+    emit = _emit_set(args)
     graph = load_or_generate(args)
     result = extract(graph, make_config(args))
     manifest = manifest_from_args(args)
-    _write_outputs(args, result, manifest)
+    _write_outputs(args, emit, result, manifest)
     rate = compression_rate(result.account)
     print(
         f"extracted {result.iterations} applications of "
@@ -222,6 +224,9 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    emit = _emit_set(args)
+    if args.top < 0:
+        raise CLIConfigError(f"--top must be non-negative, got {args.top}")
     graph = load_or_generate(args)
     config = make_config(args)
     result = extract(graph, config)
@@ -243,7 +248,6 @@ def cmd_compare(args) -> int:
     manifest = manifest_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    emit = _emit_set(args)
     report = analysis.report_json_obj(result, comparisons)
     report["manifest"] = manifest
     if "json" in emit:

@@ -36,7 +36,7 @@ from .mdl import (
     default_params,
     pcr,
 )
-from .rules import Rule, RuleLibrary, apply_rule, canonical_form, rule_from_code
+from .rules import RuleLibrary, apply_rule, canonical_form
 
 
 class StaleCandidate(Exception):
@@ -297,22 +297,16 @@ def decode(result: ExtractionResult) -> DiGraph:
     return g
 
 
-def replay(
-    residual: DiGraph, records: list[ApplicationRecord], library: RuleLibrary
-) -> DiGraph:
-    """Replay records newest first, regrowing each collapsed fragment and
-    then re-toggling its recorded edits.  Each rule id's ``Rule`` is built
-    the first time a record names it."""
+def replay(residual: DiGraph, records: list[ApplicationRecord], library: RuleLibrary) -> DiGraph:
+    """Replay records newest first, regrowing each collapsed fragment from
+    its rule code at the record's survivor and then re-toggling its
+    recorded edits."""
     g = residual.copy()
-    rules: dict[int, Rule] = {}
     for record in reversed(records):
         if not 0 <= record.rule_id < len(library.codes):
             raise CorruptRecord(f"unknown rule id {record.rule_id}")
         try:
-            rule = rules.get(record.rule_id)
-            if rule is None:
-                rule = rules[record.rule_id] = rule_from_code(library.codes[record.rule_id])
-            apply_rule(g, record.survivor, rule, record.node_ids)
+            apply_rule(g, library.codes[record.rule_id], record.node_ids)
             _toggle_edits(g, record)
         except CorruptRecord:
             raise

@@ -12,15 +12,8 @@ from typing import Iterable, Iterator
 
 
 class GraphError(Exception):
-    """Base class for graph-level errors."""
-
-
-class InactiveEndpoint(GraphError):
-    pass
-
-
-class SelfLoopRejected(GraphError):
-    """Raised at ingestion; self-loops are outside the model."""
+    """An edge or collapse on an inactive node, or a self-loop, which is
+    outside the model."""
 
 
 class DiGraph:
@@ -79,20 +72,13 @@ class DiGraph:
     def _check_active(self, *nodes: int) -> None:
         for v in nodes:
             if v not in self.active:
-                raise InactiveEndpoint(f"node {v} is not active")
+                raise GraphError(f"node {v} is not active")
 
     # -- mutation ----------------------------------------------------------
 
-    def add_node(self, v: int) -> None:
-        if v in self.active:
-            return
-        self.active.add(v)
-        self.out_adj.setdefault(v, set())
-        self.in_adj.setdefault(v, set())
-
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
-            raise SelfLoopRejected(f"self-loop {u}->{v}")
+            raise GraphError(f"self-loop {u}->{v}")
         self._check_active(u, v)
         self.out_adj[u].add(v)
         self.in_adj[v].add(u)
@@ -183,7 +169,7 @@ def parse_edge_list(text: str) -> DiGraph:
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: negative node id in {line!r}")
         if u == v:
-            raise SelfLoopRejected(f"line {lineno}: self-loop {u}->{v} rejected")
+            raise GraphError(f"line {lineno}: self-loop {u}->{v} rejected")
         edges.add((u, v))
         max_id = max(max_id, u, v)
     return DiGraph.from_edges(max_id + 1, edges)

@@ -19,6 +19,10 @@ its fields miss the cache, so every distinct fragment is checked once and a
 repeated lookup allocates nothing.  That cache is the only memo of
 canonicalization: ``canonical_form.cache_clear()``, which the benchmark
 calls before each round, starts it cold.
+
+Outside that cache miss a ``Rule`` is built only from a code that comes from
+outside (``check_codes``) or that a person reads (``grammar.json`` and DOT).
+The decoder's ``apply_rule`` regrows a fragment straight from its code.
 """
 
 from __future__ import annotations
@@ -27,21 +31,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import DiGraph, GraphError
+from .graphs import DiGraph
 
 K_HARD_MAX = 8
 
 
 class RuleError(Exception):
-    pass
-
-
-class TargetBoundaryMismatch(RuleError):
-    """Rule with an all-false mask applied to a node that has boundary edges
-    on that side."""
-
-
-class IdCollision(RuleError):
     pass
 
 
@@ -198,7 +193,7 @@ class RuleLibrary:
     """Store of canonical rule codes with stable ids, in interning order.
 
     ``frequency`` counts accepted extractions.  A code's ``Rule`` is rebuilt
-    with ``rule_from_code`` where one is needed.
+    with ``rule_from_code`` only to show it to a reader; decoding reads codes.
     """
 
     def __init__(self):
@@ -266,47 +261,40 @@ def rule_to_dot(rule: Rule, name: str = "rule") -> str:
 # -- forward application (the decoder's grow step) -------------------------
 
 
-def apply_rule(
-    graph: DiGraph, target: int, rule: Rule, node_ids: tuple[int, ...]
-) -> None:
-    """Replace ``target`` by the rule fragment, in place.
+def apply_rule(graph: DiGraph, code: bytes, node_ids: tuple[int, ...]) -> None:
+    """Regrow the fragment ``code`` stores at the survivor ``min(node_ids)``, in place.
 
-    ``node_ids[p]`` is the node id for fragment position ``p``; the target's
-    id must be among them, and the remaining ids must be free.  Former
-    in-neighbors of the target are rewired to every i-marked fragment node,
-    former out-neighbors symmetrically.
+    ``node_ids[p]`` is the id at canonical position ``p``; the others must be
+    free.  The code is checked for length only, as ``check_codes`` or
+    ``canonical_form`` made it.  The survivor's in-neighbors are rewired to
+    every i-marked fragment node, its out-neighbors to every o-marked one;
+    ``RuleError`` before any change if a side without a mask has edges.
     """
-    if target not in graph.active:
-        raise GraphError(f"target {target} is not active")
-    if len(node_ids) != rule.k or len(set(node_ids)) != rule.k:
-        raise IdCollision(f"need {rule.k} distinct ids, got {node_ids}")
-    if target not in node_ids:
-        raise IdCollision("target id must be reused by the fragment")
-    in_nbrs = sorted(graph.in_adj[target])
-    out_nbrs = sorted(graph.out_adj[target])
-    if in_nbrs and rule.i_mask == 0:
-        raise TargetBoundaryMismatch(
-            "rule without incoming boundary applied to a node with in-edges"
-        )
-    if out_nbrs and rule.o_mask == 0:
-        raise TargetBoundaryMismatch(
-            "rule without outgoing boundary applied to a node with out-edges"
-        )
-    for nid in node_ids:
-        if nid != target and nid in graph.active:
-            raise IdCollision(f"fragment id {nid} is already active")
+    k, i_mask, o_mask = code[:3]
+    if len(code) != k + 3:
+        raise RuleError(f"rule code {code.hex()} is not {k + 3} bytes")
+    if len(node_ids) != k or len(set(node_ids)) != k:
+        raise RuleError(f"need {k} distinct ids, got {node_ids}")
+    survivor = min(node_ids)
+    if graph.active.intersection(node_ids) != {survivor}:
+        raise RuleError(f"of ids {node_ids}, the survivor {survivor} alone must be active")
+    in_nbrs = list(graph.in_adj[survivor])
+    out_nbrs = list(graph.out_adj[survivor])
+    if in_nbrs and not i_mask or out_nbrs and not o_mask:
+        raise RuleError(f"survivor {survivor} has edges on a side the rule has no mask for")
     for u in in_nbrs:
-        graph.remove_edge(u, target)
+        graph.remove_edge(u, survivor)
     for w in out_nbrs:
-        graph.remove_edge(target, w)
-    for nid in node_ids:
-        graph.add_node(nid)
-    for i, j in rule.edge_list():
-        graph.add_edge(node_ids[i], node_ids[j])
-    for p in range(rule.k):
-        if rule.i_mask >> p & 1:
+        graph.remove_edge(survivor, w)
+    graph.active.update(node_ids)
+    for p, (nid, row) in enumerate(zip(node_ids, code[3:])):
+        while row:
+            low = row & -row
+            graph.add_edge(nid, node_ids[low.bit_length() - 1])
+            row ^= low
+        if i_mask >> p & 1:
             for u in in_nbrs:
-                graph.add_edge(u, node_ids[p])
-        if rule.o_mask >> p & 1:
+                graph.add_edge(u, nid)
+        if o_mask >> p & 1:
             for w in out_nbrs:
-                graph.add_edge(node_ids[p], w)
+                graph.add_edge(nid, w)

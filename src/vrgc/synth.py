@@ -49,12 +49,15 @@ def gen_binary_tree(n_nodes: int) -> DiGraph:
 def gen_tree_of_rings(branching: int = 3, ring_size: int = 15, n_nodes: int = 3000) -> DiGraph:
     """N-ary tree skeleton with every skeleton node expanded to a directed
     ring; one parent-ring to child-ring edge per tree edge, round-robin over
-    the parent's ring positions."""
+    the parent's ring positions.  ``n_nodes`` is rounded down to whole rings,
+    of which there must be at least one."""
     if ring_size < 3:
         raise ParamInvalid("ring_size must be at least 3")
     if branching < 1:
         raise ParamInvalid("branching must be at least 1")
-    t = max(1, n_nodes // ring_size)
+    t = n_nodes // ring_size
+    if t < 1:
+        raise ParamInvalid(f"{n_nodes} nodes: need at least one ring of {ring_size}")
     g = DiGraph(t * ring_size)
     for node in range(t):
         base = node * ring_size

@@ -74,12 +74,37 @@ def test_bad_config_exits_2(tmp_path):
     [
         ["--generator", "chunglu", "--nodes", "0"],
         ["--generator", "er", "--nodes", "10", "--edges", "-1"],
+        ["--generator", "treerings", "--nodes", "7"],
     ],
-    ids=["chunglu_no_nodes", "er_negative_edges"],
+    ids=["chunglu_no_nodes", "er_negative_edges", "treerings_less_than_one_ring"],
 )
 def test_bad_generator_input_exits_2(tmp_path, capsys, argv):
     assert main(["extract", *argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--emit", "jsn"],
+        ["extract", "--emit", "json,svg"],
+        ["compare", "--emit", "dot,jsn"],
+        ["compare", "--top", "-2", "--emit", "dot"],
+    ],
+    ids=["extract_emit_typo", "extract_emit_unknown", "compare_emit_typo", "compare_negative_top"],
+)
+def test_bad_output_option_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    """An unknown ``--emit`` token or a negative ``--top`` stops the command
+    before it extracts anything or creates ``--out``."""
+
+    def no_extraction(*args):
+        raise AssertionError("extraction ran")
+
+    monkeypatch.setattr("vrgc.cli.extract", no_extraction)
+    out = tmp_path / "out"
+    assert main([*argv, "--generator", "bintree", "--nodes", "31", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_roundtrip_ok(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEMO6_EDGES, naive_set_read, random_digraph
-from vrgc.graphs import DiGraph, InactiveEndpoint, SelfLoopRejected, parse_edge_list
+from vrgc.graphs import DiGraph, GraphError, parse_edge_list
 
 
 def test_from_edges_and_counts(demo6):
@@ -42,12 +42,12 @@ def test_edit_inverse_restores(demo6):
 
 def test_edit_on_inactive_endpoint(demo6):
     demo6.collapse({0, 1})
-    with pytest.raises(InactiveEndpoint):
+    with pytest.raises(GraphError, match="node 1 is not active"):
         demo6.toggle_edge(1, 2)
 
 
 def test_self_loop_rejected(demo6):
-    with pytest.raises(SelfLoopRejected):
+    with pytest.raises(GraphError, match="self-loop 2->2"):
         demo6.add_edge(2, 2)
 
 
@@ -60,7 +60,7 @@ def test_collapse_merges_boundary(demo6):
 
 def test_collapse_validations(demo6):
     demo6.collapse({0, 1})
-    with pytest.raises(InactiveEndpoint):
+    with pytest.raises(GraphError, match="node 1 is not active"):
         demo6.collapse({1, 2})
 
 
@@ -97,7 +97,7 @@ def test_parse_edge_list_roundtrip():
 
 
 def test_parse_edge_list_errors():
-    with pytest.raises(SelfLoopRejected, match="line 2"):
+    with pytest.raises(GraphError, match="line 2: self-loop 3->3 rejected"):
         parse_edge_list("0 1\n3 3\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_edge_list("0 1 2\n")

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from vrgc.graphs import DiGraph
 from vrgc.rules import (
-    IdCollision,
     Rule,
     RuleError,
     RuleLibrary,
-    TargetBoundaryMismatch,
     apply_rule,
     canonical_code,
     canonical_form,
@@ -237,25 +235,50 @@ def test_library_intern_and_ordering():
 
 def test_apply_rule_rewires_boundary():
     g = DiGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    rule = Rule(2, (2, 0), 0b01, 0b10)  # x -> y, x inherits ins, y inherits outs
+    # raw positions (1, 2): x -> y, x inherits ins, y inherits outs
+    code, perm = canonical_form(2, (2, 0), 0b01, 0b10)
     g.collapse({1, 2})  # make id 2 free, survivor 1
-    apply_rule(g, 1, rule, (1, 2))
+    apply_rule(g, code, tuple((1, 2)[old] for old in perm))
     assert g.has_edge(1, 2)
     assert g.has_edge(0, 1)
     assert g.has_edge(2, 3)
     assert not g.has_edge(1, 3)
 
 
+def test_apply_rule_regrows_at_the_smallest_id():
+    """The survivor is ``min(node_ids)`` wherever it sits in canonical
+    order: regrowing a collapsed set from its code restores the graph."""
+    before = DiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    nodes = (1, 2, 3)
+    # raw positions follow ``nodes``: 1 -> 2 -> 3, 1 inherits the in-edge, 3 the out-edge
+    code, perm = canonical_form(3, (0b010, 0b100, 0), 0b001, 0b100)
+    node_ids = tuple(nodes[old] for old in perm)
+    assert node_ids == (2, 3, 1)
+    g = before.copy()
+    g.collapse(set(nodes))
+    apply_rule(g, code, node_ids)
+    assert g == before
+
+
 def test_apply_rule_errors():
-    g = DiGraph.from_edges(3, [(0, 1), (1, 2)])
-    chain = Rule(2, (2, 0), 0b01, 0b10)
-    with pytest.raises(IdCollision):
-        apply_rule(g, 1, chain, (1, 1))
-    with pytest.raises(IdCollision):
-        apply_rule(g, 1, chain, (0, 2))
-    no_in = Rule(2, (2, 0), 0, 0b10)
-    with pytest.raises(TargetBoundaryMismatch):
-        apply_rule(g, 1, no_in, (1, 3))
+    edges = [(0, 1), (1, 2)]
+    g = DiGraph.from_edges(4, edges)
+    chain = canonical_code(2, (2, 0), 0b01, 0b10)
+    with pytest.raises(RuleError, match="need 2 distinct ids"):
+        apply_rule(g, chain, (1, 1))
+    with pytest.raises(RuleError, match="survivor 1 alone must be active"):
+        apply_rule(g, chain, (1, 2))  # 2 is active
+    g.collapse({1, 2})
+    with pytest.raises(RuleError, match="survivor 2 alone must be active"):
+        apply_rule(g, chain, (2, 3))  # 2 was freed
+    no_in = canonical_code(2, (2, 0), 0, 0b10)
+    with pytest.raises(RuleError, match="survivor 1 has edges on a side the rule has no mask for"):
+        apply_rule(g, no_in, (1, 2))
+    with pytest.raises(RuleError, match="is not 5 bytes"):
+        apply_rule(g, chain[:-1], (1, 2))
+    collapsed = DiGraph.from_edges(4, edges)
+    collapsed.collapse({1, 2})
+    assert g == collapsed  # no failed call changed the graph
 
 
 def test_rule_to_dot_mentions_boundary():

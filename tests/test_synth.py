@@ -44,6 +44,10 @@ def test_tree_of_rings_counts():
         gen_tree_of_rings(3, 2, 100)
     with pytest.raises(ParamInvalid):
         gen_tree_of_rings(0, 15, 100)
+    assert gen_tree_of_rings(3, 15, 29).num_nodes() == 15  # whole rings only
+    for too_few in (0, 7, 14):
+        with pytest.raises(ParamInvalid, match="at least one ring"):
+            gen_tree_of_rings(3, 15, too_few)
 
 
 def test_ring_lattice():
