@@ -146,7 +146,7 @@ def load_or_generate(args) -> DiGraph:
 
 def _emit_set(args) -> set[str]:
     emit = {token.strip() for token in args.emit.split(",") if token.strip()}
-    if not emit <= {"json", "dot"}:
+    if not emit or not emit <= {"json", "dot"}:
         raise CLIConfigError(f"--emit takes json and dot, got {args.emit!r}")
     return emit
 

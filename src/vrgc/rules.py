@@ -14,15 +14,20 @@ a code that is not the canonical code of its rule.
 
 Canonical codes are computed on these raw fields, ``(k, adj, i_mask,
 o_mask)``, and memoized in ``canonical_form``'s ``lru_cache`` under that
-tuple.  A fragment is validated, by building its ``Rule``, the first time
-its fields miss the cache, so every distinct fragment is checked once and a
-repeated lookup allocates nothing.  That cache is the only memo of
+tuple, so a repeated lookup allocates nothing.  A miss does not validate the
+fragment, because no caller can pass an invalid one: the enumeration
+registers only weakly connected sets of a graph with no self-loops;
+``extract_one`` compares the code of the set it re-reads with the chosen
+one, and a stale set that came apart has disconnected rows, so its code
+equals no registered code and it raises ``StaleCandidate``; and
+``check_codes`` validates each stored code through ``rule_from_code``
+before it canonicalises it.  That cache is the only memo of
 canonicalization: ``canonical_form.cache_clear()``, which the benchmark
 calls before each round, starts it cold.
 
-Outside that cache miss a ``Rule`` is built only from a code that comes from
-outside (``check_codes``) or that a person reads (``grammar.json`` and DOT).
-The decoder's ``apply_rule`` regrows a fragment straight from its code.
+A ``Rule`` is built only from a code that comes from outside
+(``check_codes``) or that a person reads (``grammar.json`` and DOT).  The
+decoder's ``apply_rule`` regrows a fragment straight from its code.
 """
 
 from __future__ import annotations
@@ -95,30 +100,15 @@ class Rule:
 # -- canonicalization ------------------------------------------------------
 
 
-def _relabel(rows, perm: tuple[int, ...]) -> list[int]:
-    """Bitmask ``rows`` with every set bit ``old`` moved to bit ``new``,
-    where ``perm[new] = old``.  Walks set bits only."""
-    bit = [0] * len(perm)
-    for new, old in enumerate(perm):
-        bit[old] = 1 << new
-    out = []
-    for row in rows:
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= bit[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return out
-
-
 def _candidate_perms(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int):
     """Permutations compatible with the invariant-sorted position order.
 
-    Yields tuples ``perm`` with ``perm[new_pos] = old_pos``.  Positions are
-    grouped by the (i, o, out-degree, in-degree) invariant; only permutations
-    within equal-invariant groups can alter the serialization, so the search
-    is the product of within-group arrangements.
+    Returns an iterable of tuples ``perm`` with ``perm[new_pos] = old_pos``.
+    Positions are grouped by the (i, o, out-degree, in-degree) invariant;
+    only permutations within equal-invariant groups can alter the
+    serialization, so the search is the product of within-group
+    arrangements, and the invariant order alone when every group is a
+    singleton.
     """
     # Each invariant tuple is packed into one int that sorts the same way:
     # degrees are at most 7 (k <= 8, no self-loops), so three bits each.
@@ -132,9 +122,13 @@ def _candidate_perms(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int):
             invariant[low.bit_length() - 1] += 1
             row ^= low
     order = sorted(range(k), key=invariant.__getitem__)
+    if len(set(invariant)) == k:
+        return (tuple(order),)
     groups = [tuple(g) for _, g in itertools.groupby(order, key=invariant.__getitem__)]
-    for combo in itertools.product(*map(itertools.permutations, groups)):
-        yield tuple(itertools.chain.from_iterable(combo))
+    return (
+        tuple(itertools.chain.from_iterable(combo))
+        for combo in itertools.product(*map(itertools.permutations, groups))
+    )
 
 
 @lru_cache(maxsize=1 << 18)
@@ -144,21 +138,44 @@ def canonical_form(
     """Canonical code and a witnessing permutation of a raw fragment.
 
     The code is identical for all relabelings of the fragment (including
-    masks); the permutation maps canonical positions to the fragment's
-    original positions (``perm[new] = old``).  The cache key is the plain
-    ``(k, adj, i_mask, o_mask)`` tuple.  On a miss the fields are validated
-    as a ``Rule`` first, so an invalid fragment raises ``RuleError`` and is
-    never cached.
+    masks): its rows are the lexicographically smallest over the candidate
+    permutations, and on a tie the first candidate wins.  The permutation
+    maps canonical positions to the fragment's original positions
+    (``perm[new] = old``).  The cache key is the plain ``(k, adj, i_mask,
+    o_mask)`` tuple.  The fields are not validated (see the module
+    docstring): bits must lie inside ``k``, and only a weakly connected
+    fragment without self-loops gets the code of a rule.
+
+    Each candidate's rows are built in position order and compared with the
+    best rows so far; the candidate is abandoned at its first greater row.
     """
-    Rule(k, adj, i_mask, o_mask)
-    best_key = None
-    best_perm = None
+    best_rows = best_perm = None
     for perm in _candidate_perms(k, adj, i_mask, o_mask):
-        key = _relabel([adj[old] for old in perm], perm)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perm = perm
-    return bytes((k, *_relabel((i_mask, o_mask), best_perm), *best_key)), best_perm
+        bit = [0] * k
+        for new, old in enumerate(perm):
+            bit[old] = 1 << new
+        rows = []
+        tied = best_rows is not None
+        for p, old in enumerate(perm):
+            row = adj[old]
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= bit[low.bit_length() - 1]
+                row ^= low
+            if tied:
+                if acc > best_rows[p]:
+                    break
+                tied = acc == best_rows[p]
+            rows.append(acc)
+        else:
+            if not tied:
+                best_rows, best_perm = rows, perm
+    i_new = o_new = 0
+    for new, old in enumerate(best_perm):
+        i_new |= (i_mask >> old & 1) << new
+        o_new |= (o_mask >> old & 1) << new
+    return bytes((k, i_new, o_new, *best_rows)), best_perm
 
 
 def canonical_code(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> bytes:

@@ -90,12 +90,26 @@ def test_bad_generator_input_exits_2(tmp_path, capsys, argv):
         ["extract", "--emit", "json,svg"],
         ["compare", "--emit", "dot,jsn"],
         ["compare", "--top", "-2", "--emit", "dot"],
+        ["extract", "--emit", ","],
+        ["extract", "--emit", ""],
+        ["compare", "--emit", ","],
+        ["compare", "--emit", ""],
     ],
-    ids=["extract_emit_typo", "extract_emit_unknown", "compare_emit_typo", "compare_negative_top"],
+    ids=[
+        "extract_emit_typo",
+        "extract_emit_unknown",
+        "compare_emit_typo",
+        "compare_negative_top",
+        "extract_emit_comma",
+        "extract_emit_empty",
+        "compare_emit_comma",
+        "compare_emit_empty",
+    ],
 )
 def test_bad_output_option_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
-    """An unknown ``--emit`` token or a negative ``--top`` stops the command
-    before it extracts anything or creates ``--out``."""
+    """An unknown ``--emit`` token, an ``--emit`` with no token or a
+    negative ``--top`` stops the command before it extracts anything or
+    creates ``--out``."""
 
     def no_extraction(*args):
         raise AssertionError("extraction ran")

@@ -28,7 +28,7 @@ from vrgc.engine import (
 from vrgc.enumeration import ExtractConfig
 from vrgc.graphs import DiGraph
 from vrgc.mdl import analyze_set, b_application, b_graph, b_rule
-from vrgc.rules import RuleError, rule_from_code
+from vrgc.rules import rule_from_code
 from vrgc.synth import gen_binary_tree, gen_er
 
 
@@ -209,14 +209,18 @@ def test_extraction_independent_of_hash_seed():
 
 
 def test_extract_one_rejects_disconnected_set_before_editing(demo6):
-    """``collapse`` trusts its caller: a disconnected set is rejected when
-    ``extract_one`` builds its canonical form, before any edit or collapse."""
+    """``collapse`` trusts its caller and ``canonical_form`` does not
+    validate: a set that came apart has disconnected rows, so its code is
+    none that registration made, and ``extract_one`` raises
+    ``StaleCandidate`` for every registered code before any edit or
+    collapse."""
+    state = filled_index(demo6, ExtractConfig(k_min=2, k_max=2, shortcut_s=None))
     nodes = (0, 5)
-    analysis = analyze_set(demo6, nodes)
-    choice = Choice(0, b"", nodes, analysis.cost)
+    cost = analyze_set(demo6, nodes).cost
     before = demo6.copy()
-    with pytest.raises(RuleError):
-        extract_one(demo6, choice)
+    for code, rid in state.library.index.items():
+        with pytest.raises(StaleCandidate):
+            extract_one(demo6, Choice(rid, code, nodes, cost))
     assert demo6 == before
 
 

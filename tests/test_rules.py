@@ -14,6 +14,7 @@ from vrgc.rules import (
     apply_rule,
     canonical_code,
     canonical_form,
+    check_codes,
     rule_from_code,
     rule_to_dot,
 )
@@ -159,33 +160,41 @@ def symmetric_fragments(k):
 
 @pytest.mark.parametrize("k", [6, 7, 8])
 def test_canonical_form_matches_reference_on_symmetric_fragments(k):
-    """Directed ring, ring-lattice window, out-star and complete DAG: the
-    invariant groups are large, so many arrangements tie."""
+    """Directed ring, ring-lattice window, out-star and complete DAG, as
+    built and in seeded random position orders, as a relabelled lattice
+    presents them: the invariant groups are large, so many candidates tie
+    on their first rows, and abandoning a candidate early must still keep
+    the first of the tied ones, in code and in permutation."""
+    rng = random.Random(k)
     full = (1 << k) - 1
+    orders = [tuple(range(k))] + [tuple(rng.sample(range(k), k)) for _ in range(4)]
     for adj in symmetric_fragments(k):
         for i_mask, o_mask in [(0, 0), (full, full), (1, 0b10), (0b101, full)]:
-            rule = Rule(k, adj, i_mask, o_mask)
-            assert canonical_form(*astuple(rule)) == reference_canonical_form(rule)
+            for perm in orders:
+                rule = permute(Rule(k, adj, i_mask, o_mask), perm)
+                assert canonical_form(*astuple(rule)) == reference_canonical_form(rule)
 
 
 @pytest.mark.parametrize(
-    "fields",
+    "code",
     [
-        (2, (0, 0), 0, 0),  # disconnected
-        (3, (2, 0, 0), 0, 0),  # disconnected, one node isolated
-        (2, (1, 2), 0, 0),  # self-loops
-        (2, (4, 0), 0, 0),  # adjacency bit outside the fragment
-        (2, (2, 0), 0b100, 0),  # mask bit outside the fragment
-        (3, (2, 4), 0, 0),  # wrong row count
+        bytes((2, 0, 0, 0, 0)),  # disconnected
+        bytes((3, 0, 0, 2, 0, 0)),  # disconnected, one node isolated
+        bytes((2, 0, 0, 1, 2)),  # self-loops
+        bytes((2, 0, 0, 4, 0)),  # adjacency bit outside the fragment
+        bytes((2, 0b100, 0, 2, 0)),  # mask bit outside the fragment
+        bytes((3, 0, 0, 2, 4)),  # wrong row count
     ],
+    ids=["disconnected", "isolated_node", "self_loop", "adjacency_bit", "mask_bit", "row_count"],
 )
-def test_canonical_form_rejects_invalid_fragments(fields):
-    """Invalid raw fields raise on every lookup: they are never cached."""
-    for _ in range(2):
-        with pytest.raises(RuleError):
-            canonical_form(*fields)
-        with pytest.raises(RuleError):
-            canonical_code(*fields)
+def test_check_codes_rejects_invalid_fragments(code):
+    """Codes are validated where they enter: ``canonical_form`` trusts its
+    fields, so a stored code of no valid rule is rejected by
+    ``rule_from_code`` and ``check_codes`` before it is canonicalised."""
+    with pytest.raises(RuleError):
+        rule_from_code(code)
+    with pytest.raises(RuleError):
+        check_codes([code])
 
 
 def test_canonical_rule_is_stable():
