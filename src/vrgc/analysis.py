@@ -38,7 +38,7 @@ def kl_divergence(
 
 
 def rank_interesting(contributions: dict[bytes, float], library: RuleLibrary) -> list[bytes]:
-    """Rule codes sorted by descending ``kl_divergence`` contribution; ties
+    """The rule codes sorted by descending ``kl_divergence`` contribution; ties
     fall back to library id (codes absent from the library sort last)."""
     fallback = len(library)
 

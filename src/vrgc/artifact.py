@@ -5,8 +5,8 @@ records use, the application records (rule id, node ids, edits) and the
 residual graph, together with the bit account and the manifest that
 produced the run.  An extraction result's grammar holds only the rules its
 records use, so it is stored as it is, and ``load_artifact(save_artifact(r))``
-gives back ``r``.  Rule frequencies follow from the records and are rebuilt
-on load by ``engine.used_grammar``, as in extraction.  So does the bit
+gives back ``r``.  The rules' frequencies follow from the records and are
+rebuilt on load by ``engine.used_grammar``, as in extraction.  So does the bit
 account: the loader keeps only ``original_bits`` from the file, and rejects
 a stored account that differs from the one the codes, records and residual
 give; decoding checks that figure against the decoded graph.  No timing is

@@ -19,8 +19,8 @@ from .engine import CorruptRecord, decode, extract
 from .enumeration import ConfigInvalid, ExtractConfig
 from .graphs import DiGraph, GraphError, parse_edge_list
 from .mdl import compression_rate
-from .rules import rule_from_code, rule_to_dot
-from .synth import NoiseConfig, ParamInvalid
+from .rules import rule_to_dot
+from .synth import ParamInvalid
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -140,7 +140,7 @@ def load_or_generate(args) -> DiGraph:
     else:
         raise CLIConfigError("either --input or --generator is required")
     if args.rewire:
-        graph = synth.rewire(graph, NoiseConfig(r=args.rewire, seed=args.seed))
+        graph = synth.rewire(graph, args.rewire, args.seed)
     return graph
 
 
@@ -167,7 +167,7 @@ def _write_outputs(args, emit, result, manifest) -> None:
         )
     if "dot" in emit:
         for rid in result.grammar.ordered_ids():
-            dot = rule_to_dot(rule_from_code(result.grammar.codes[rid]), name=f"rule_{rid}")
+            dot = rule_to_dot(result.grammar.codes[rid], name=f"rule_{rid}")
             (out / f"rule_{rid}.dot").write_text(dot)
 
 
@@ -259,7 +259,7 @@ def cmd_compare(args) -> int:
             for rank, code in enumerate(ranked[: args.top]):
                 if code not in result.grammar.index:
                     continue
-                dot = rule_to_dot(rule_from_code(code), name=f"{name}_top{rank}")
+                dot = rule_to_dot(code, name=f"{name}_top{rank}")
                 (out / f"interesting_{name}_{rank}.dot").write_text(dot)
     for name in sorted(comparisons):
         print(f"kl[{name}] = {comparisons[name][0]:.6f}")
@@ -274,13 +274,18 @@ def cmd_sweep(args) -> int:
         raise CLIConfigError(f"bad --values: {exc}")
     if not values:
         raise CLIConfigError("--values is empty")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    if args.axis == "nodes" and not args.generator:
+        raise CLIConfigError("--axis nodes needs --generator")
+    points = []
     for value in values:
         point = argparse.Namespace(**vars(args))
         setattr(point, args.axis, value)
-        result = extract(load_or_generate(point), make_config(point))
+        points.append((value, load_or_generate(point), make_config(point)))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for value, graph, config in points:
+        result = extract(graph, config)
         rows.append(
             {
                 "param": args.axis,

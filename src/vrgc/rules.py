@@ -1,4 +1,4 @@
-"""Rule representation, canonical isomorphism codes, and the rule library.
+"""Canonical rule codes, their validation, and the rule library.
 
 A rule is a weakly connected fragment of ``k`` nodes plus two boundary
 indicator masks: ``i_mask`` marks fragment nodes that inherit all of the
@@ -7,12 +7,12 @@ Fragments and masks are stored as integer bitmasks over fragment positions
 ``0..k-1`` (bit ``j`` of ``adj[i]`` is the edge ``i -> j``), with
 ``2 <= k <= K_HARD_MAX``, so every mask and row fits in one byte.
 
-A rule's code is ``k + 3`` bytes: ``k``, ``i_mask``, ``o_mask``, then one
-byte per adjacency row, all in canonical position order.
-``rule_from_code`` rejects a code of any other length, and ``check_codes``
-a code that is not the canonical code of its rule.
+A rule exists only as its code of ``k + 3`` bytes: ``k``, ``i_mask``,
+``o_mask``, then one byte per adjacency row, all in canonical position
+order.  ``check_codes`` rejects a code of any other length, a code of no
+valid fragment, and a code that is not the canonical code of its rule.
 
-Canonical codes are computed on these raw fields, ``(k, adj, i_mask,
+Canonical codes are computed on the raw fields, ``(k, adj, i_mask,
 o_mask)``, and memoized in ``canonical_form``'s ``lru_cache`` under that
 tuple, so a repeated lookup allocates nothing.  A miss does not validate the
 fragment, because no caller can pass an invalid one: the enumeration
@@ -20,20 +20,15 @@ registers only weakly connected sets of a graph with no self-loops;
 ``extract_one`` compares the code of the set it re-reads with the chosen
 one, and a stale set that came apart has disconnected rows, so its code
 equals no registered code and it raises ``StaleCandidate``; and
-``check_codes`` validates each stored code through ``rule_from_code``
-before it canonicalises it.  That cache is the only memo of
-canonicalization: ``canonical_form.cache_clear()``, which the benchmark
-calls before each round, starts it cold.
-
-A ``Rule`` is built only from a code that comes from outside
-(``check_codes``) or that a person reads (``grammar.json`` and DOT).  The
-decoder's ``apply_rule`` regrows a fragment straight from its code.
+``check_codes`` validates each stored code before it canonicalises it.
+That cache is the only memo of canonicalization:
+``canonical_form.cache_clear()``, which the benchmark calls before each
+round, starts it cold.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import DiGraph
@@ -43,58 +38,6 @@ K_HARD_MAX = 8
 
 class RuleError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Rule:
-    """Fragment adjacency plus boundary masks.  Immutable value type; the
-    library tracks frequency per rule id."""
-
-    k: int
-    adj: tuple[int, ...]
-    i_mask: int
-    o_mask: int
-
-    def __post_init__(self):
-        if not 2 <= self.k <= K_HARD_MAX:
-            raise RuleError(f"fragment size {self.k} out of range 2..{K_HARD_MAX}")
-        if len(self.adj) != self.k:
-            raise RuleError("adjacency row count must equal k")
-        if (self.i_mask | self.o_mask) >> self.k:
-            raise RuleError("mask bits outside fragment")
-        for i, row in enumerate(self.adj):
-            if row >> self.k:
-                raise RuleError("adjacency bits outside fragment")
-            if row & (1 << i):
-                raise RuleError("self-loop in fragment")
-        if not self._weakly_connected():
-            raise RuleError("fragment must be weakly connected")
-
-    def _weakly_connected(self) -> bool:
-        und = list(self.adj)
-        for i, row in enumerate(self.adj):
-            while row:
-                low = row & -row
-                und[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        seen = frontier = 1
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= und[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == (1 << self.k) - 1
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.k)
-            for j in range(self.k)
-            if self.adj[i] >> j & 1
-        ]
 
 
 # -- canonicalization ------------------------------------------------------
@@ -182,25 +125,59 @@ def canonical_code(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> by
     return canonical_form(k, adj, i_mask, o_mask)[0]
 
 
-def rule_from_code(code: bytes) -> Rule:
-    """The ``Rule`` a code stores; ``RuleError`` unless the code is exactly
-    ``k + 3`` bytes of a valid rule."""
-    return Rule(code[0], tuple(code[3:]), code[1], code[2])
+def _weakly_connected(rows: bytes) -> bool:
+    und = list(rows)
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            und[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= und[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        seen |= nxt
+    return seen == (1 << len(rows)) - 1
 
 
 def check_codes(codes: list[bytes]) -> None:
-    """Check stored rule codes: ``RuleError`` from ``rule_from_code`` on a
-    code of no valid rule, ``ValueError`` on a code that is not the
-    canonical code of its rule, which would store one rule under two ids,
-    and on a repeated code, which would otherwise shift every later rule id."""
+    """Check stored rule codes: ``RuleError`` on a code of no valid rule
+    (size outside 2..K_HARD_MAX, not ``k + 3`` bytes, bits outside the
+    fragment, a self-loop, or a fragment that is not weakly connected),
+    ``ValueError`` on a code that is not the canonical code of its rule,
+    which would store one rule under two ids, and on a repeated code, which
+    would otherwise shift every later rule id."""
     seen: set[bytes] = set()
     for code in codes:
-        rule = rule_from_code(code)
-        if canonical_code(rule.k, rule.adj, rule.i_mask, rule.o_mask) != code:
+        k, i_mask, o_mask, rows = code[0], code[1], code[2], code[3:]
+        if not 2 <= k <= K_HARD_MAX:
+            raise RuleError(f"fragment size {k} out of range 2..{K_HARD_MAX}")
+        if len(rows) != k:
+            raise RuleError("adjacency row count must equal k")
+        if (i_mask | o_mask) >> k:
+            raise RuleError("mask bits outside fragment")
+        for i, row in enumerate(rows):
+            if row >> k:
+                raise RuleError("adjacency bits outside fragment")
+            if row & (1 << i):
+                raise RuleError("self-loop in fragment")
+        if not _weakly_connected(rows):
+            raise RuleError("fragment must be weakly connected")
+        if canonical_code(k, tuple(rows), i_mask, o_mask) != code:
             raise ValueError(f"rule code {code.hex()} is not canonical")
         if code in seen:
             raise ValueError(f"rule code {code.hex()} appears twice")
         seen.add(code)
+
+
+def code_edges(code: bytes) -> list[tuple[int, int]]:
+    """The edges ``(i, j)`` a code stores, row by row, then column by column."""
+    k = code[0]
+    return [(i, j) for i, row in enumerate(code[3:]) for j in range(k) if row >> j & 1]
 
 
 # -- library ---------------------------------------------------------------
@@ -209,8 +186,7 @@ def check_codes(codes: list[bytes]) -> None:
 class RuleLibrary:
     """Store of canonical rule codes with stable ids, in interning order.
 
-    ``frequency`` counts accepted extractions.  A code's ``Rule`` is rebuilt
-    with ``rule_from_code`` only to show it to a reader; decoding reads codes.
+    ``frequency`` counts accepted extractions.
     """
 
     def __init__(self):
@@ -221,17 +197,16 @@ class RuleLibrary:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def intern_code(self, code: bytes) -> tuple[int, bool]:
-        """Map a canonical code to its stable id, creating it if new; the
-        flag says whether it was new."""
+    def intern_code(self, code: bytes) -> int:
+        """Map a canonical code to its stable id, creating it if new."""
         rid = self.index.get(code)
         if rid is not None:
-            return rid, False
+            return rid
         rid = len(self.codes)
         self.index[code] = rid
         self.codes.append(code)
         self.frequency.append(0)
-        return rid, True
+        return rid
 
     def record_extraction(self, rid: int) -> None:
         self.frequency[rid] += 1
@@ -245,30 +220,31 @@ class RuleLibrary:
             "rules": [
                 {
                     "id": rid,
-                    "k": rule.k,
-                    "edges": rule.edge_list(),
-                    "i_mask": [bool(rule.i_mask >> v & 1) for v in range(rule.k)],
-                    "o_mask": [bool(rule.o_mask >> v & 1) for v in range(rule.k)],
+                    "k": code[0],
+                    "edges": code_edges(code),
+                    "i_mask": [bool(code[1] >> v & 1) for v in range(code[0])],
+                    "o_mask": [bool(code[2] >> v & 1) for v in range(code[0])],
                     "frequency": self.frequency[rid],
                 }
-                for rid, rule in enumerate(map(rule_from_code, self.codes))
+                for rid, code in enumerate(self.codes)
             ],
             "order": self.ordered_ids(),
         }
 
 
-def rule_to_dot(rule: Rule, name: str = "rule") -> str:
-    """DOT rendering with boundary edges drawn from/to phantom nodes."""
+def rule_to_dot(code: bytes, name: str = "rule") -> str:
+    """DOT rendering of a code with boundary edges drawn from/to phantom nodes."""
+    k, i_mask, o_mask = code[:3]
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    for v in range(rule.k):
+    for v in range(k):
         lines.append(f"  n{v} [shape=circle, label=\"{v}\"];")
-    for i, j in rule.edge_list():
+    for i, j in code_edges(code):
         lines.append(f"  n{i} -> n{j};")
-    for v in range(rule.k):
-        if rule.i_mask >> v & 1:
+    for v in range(k):
+        if i_mask >> v & 1:
             lines.append(f"  in{v} [shape=point, style=invis];")
             lines.append(f"  in{v} -> n{v} [color=red, style=dashed];")
-        if rule.o_mask >> v & 1:
+        if o_mask >> v & 1:
             lines.append(f"  out{v} [shape=point, style=invis];")
             lines.append(f"  n{v} -> out{v} [color=red, style=dashed];")
     lines.append("}")

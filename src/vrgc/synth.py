@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 
 from .graphs import DiGraph
 
@@ -22,16 +21,6 @@ def seed_stream(seed: int, name: str) -> random.Random:
     """Deterministic child RNG for one named stage of a run."""
     h = hashlib.blake2b(f"{seed}:{name}".encode(), digest_size=8)
     return random.Random(int.from_bytes(h.digest(), "big"))
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    r: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
-            raise ParamInvalid(f"rewiring probability {self.r} outside [0, 1]")
 
 
 def gen_binary_tree(n_nodes: int) -> DiGraph:
@@ -86,16 +75,18 @@ def gen_ring_lattice(n_nodes: int, degree: int = 4) -> DiGraph:
     return g
 
 
-def rewire(graph: DiGraph, noise: NoiseConfig) -> DiGraph:
+def rewire(graph: DiGraph, r: float, seed: int) -> DiGraph:
     """Reassign each edge with probability r to a fresh uniform pair,
     resampling collisions and self-loops so |E| is exactly preserved."""
-    rng = seed_stream(noise.seed, "rewire")
+    if not 0.0 <= r <= 1.0:
+        raise ParamInvalid(f"rewiring probability {r} outside [0, 1]")
+    rng = seed_stream(seed, "rewire")
     g = graph.copy()
-    if noise.r == 0.0:
+    if r == 0.0:
         return g
     ids = sorted(g.active)
     for u, v in graph.edges():
-        if rng.random() >= noise.r:
+        if rng.random() >= r:
             continue
         g.remove_edge(u, v)
         while True:

@@ -7,7 +7,6 @@ failure).  The whole file is expected to run in a few minutes.
 import contextlib
 import math
 import random
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -25,9 +24,8 @@ from vrgc.mdl import (
     compression_rate,
     pcr,
 )
-from vrgc.rules import RuleLibrary, canonical_code, rule_from_code
+from vrgc.rules import RuleLibrary, canonical_code, code_edges
 from vrgc.synth import (
-    NoiseConfig,
     gen_binary_tree,
     gen_er,
     gen_ring_lattice,
@@ -188,7 +186,7 @@ def test_criterion_9_noise_monotonicity():
         cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=1)
         rates = []
         for r in (0.0, 0.08, 0.32, 1.0):
-            g = rewire(base, NoiseConfig(r=r, seed=42))
+            g = rewire(base, r, 42)
             res = extract(g, cfg)
             rates.append(compression_rate(res.account))
         for earlier, later in zip(rates, rates[1:]):
@@ -204,14 +202,12 @@ def test_criterion_10_kl_suite():
         assert total == 0
         lib_p = RuleLibrary()
         lib_q = RuleLibrary()
-        from vrgc.rules import Rule
-
-        shapes = [Rule(2, (2, 0), m, 0) for m in range(4)]
+        shapes = [(2, (2, 0), m, 0) for m in range(4)]
         for shape, count in zip(shapes, (2, 1)):
-            rid, _ = lib_p.intern_code(canonical_code(*astuple(shape)))
+            rid = lib_p.intern_code(canonical_code(*shape))
             lib_p.frequency[rid] = count
         for shape, count in zip(shapes, (0, 1, 2)):
-            rid, _ = lib_q.intern_code(canonical_code(*astuple(shape)))
+            rid = lib_q.intern_code(canonical_code(*shape))
             lib_q.frequency[rid] = count
         total, contributions = kl_divergence(
             rule_distribution(lib_p), rule_distribution(lib_q)
@@ -233,12 +229,9 @@ def test_criterion_11_reciprocated_rules():
             key=lambda rid: -res.grammar.frequency[rid],
         )[:5]
 
-        def bidirected(rule):
-            return any(
-                rule.adj[i] >> j & 1 and rule.adj[j] >> i & 1
-                for i in range(rule.k)
-                for j in range(rule.k)
-            )
+        def bidirected(code):
+            edges = set(code_edges(code))
+            return any((j, i) in edges for i, j in edges)
 
-        hits = sum(bidirected(rule_from_code(res.grammar.codes[rid])) for rid in ranked)
+        hits = sum(bidirected(res.grammar.codes[rid]) for rid in ranked)
         assert hits * 2 >= len(ranked)

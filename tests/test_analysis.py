@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import astuple
 
 import pytest
 
@@ -8,7 +7,7 @@ from vrgc.analysis import kl_divergence, rank_interesting, rule_distribution
 from vrgc.engine import extract
 from vrgc.enumeration import ExtractConfig
 from vrgc.mdl import BitAccount, compression_rate
-from vrgc.rules import Rule, RuleLibrary, canonical_code
+from vrgc.rules import RuleLibrary, canonical_code
 
 
 def account(original, rule=0, app=0, residual=0):
@@ -31,13 +30,13 @@ def test_compression_rate_arithmetic():
 def library_with_counts(counts):
     lib = RuleLibrary()
     shapes = [
-        Rule(2, (2, 0), 0, 0),
-        Rule(2, (2, 0), 1, 0),
-        Rule(2, (2, 0), 2, 0),
-        Rule(2, (2, 0), 3, 0),
+        (2, (2, 0), 0, 0),
+        (2, (2, 0), 1, 0),
+        (2, (2, 0), 2, 0),
+        (2, (2, 0), 3, 0),
     ]
     for shape, count in zip(shapes, counts):
-        rid, _ = lib.intern_code(canonical_code(*astuple(shape)))
+        rid = lib.intern_code(canonical_code(*shape))
         lib.frequency[rid] = count
     return lib
 

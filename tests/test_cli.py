@@ -12,7 +12,7 @@ import vrgc
 from vrgc.artifact import load_artifact
 from vrgc.cli import main
 from vrgc.engine import bit_account
-from vrgc.rules import rule_from_code, rule_to_dot
+from vrgc.rules import code_edges, rule_to_dot
 from conftest import DEMO6_EDGES
 
 
@@ -257,10 +257,9 @@ def test_outputs_share_rule_ids(tmp_path):
     counts = Counter(r["rule_id"] for r in art["records"])
     assert sorted(counts) == list(range(len(codes)))
     for rid, rule in enumerate(grammar["rules"]):
-        stored = rule_from_code(codes[rid])
         assert rule["id"] == rid
         assert rule["frequency"] == counts[rid]
-        assert [tuple(e) for e in rule["edges"]] == stored.edge_list()
+        assert [tuple(e) for e in rule["edges"]] == code_edges(codes[rid])
     assert sorted(grammar["order"]) == list(range(len(codes)))
     assert [(r["id"], r["frequency"]) for r in report["rules"]] == [
         (rid, counts[rid]) for rid in grammar["order"]
@@ -269,7 +268,7 @@ def test_outputs_share_rule_ids(tmp_path):
         f"rule_{rid}.dot" for rid in range(len(codes))
     ]
     for rid, code in enumerate(codes):
-        dot = rule_to_dot(rule_from_code(code), name=f"rule_{rid}")
+        dot = rule_to_dot(code, name=f"rule_{rid}")
         assert (out / f"rule_{rid}.dot").read_text() == dot
 
 
@@ -328,6 +327,32 @@ def test_sweep_bad_values_exits_2(tmp_path):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--generator", "bintree", "--nodes", "300", "--axis", "kmax", "--values", "3,9"],
+        ["--generator", "bintree", "--axis", "nodes", "--values", "300,0"],
+        ["--generator", "bintree", "--nodes", "31", "--axis", "rewire", "--values", "0.1,1.5"],
+        ["--input", "DEMO", "--axis", "nodes", "--values", "100,3000"],
+    ],
+    ids=["kmax_too_large", "nodes_zero", "rewire_above_one", "nodes_with_input"],
+)
+def test_sweep_bad_point_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    """A sweep builds every point's graph and config before it extracts
+    anything or creates ``--out``, so one bad point stops the whole sweep;
+    ``--axis nodes`` needs ``--generator``, since a file has fixed size."""
+
+    def no_extraction(*args):
+        raise AssertionError("extraction ran")
+
+    monkeypatch.setattr("vrgc.cli.extract", no_extraction)
+    argv = [str(write_demo(tmp_path)) if a == "DEMO" else a for a in argv]
+    out = tmp_path / "out"
+    assert main(["sweep", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_compare_runs(tmp_path, capsys):

@@ -28,7 +28,7 @@ from vrgc.engine import (
 from vrgc.enumeration import ExtractConfig
 from vrgc.graphs import DiGraph
 from vrgc.mdl import analyze_set, b_application, b_graph, b_rule
-from vrgc.rules import rule_from_code
+from vrgc.rules import code_edges
 from vrgc.synth import gen_binary_tree, gen_er
 
 
@@ -46,12 +46,11 @@ def test_demo6_first_selection(demo6):
     assert choice.cost == 0
     key = state.keys[choice.code]
     assert (key.nodes, key.bits) == (6, 35)
-    rule = rule_from_code(lib.codes[choice.rule_id])
-    assert rule.k == 2
-    assert len(rule.edge_list()) == 1
-    ((tail, head),) = rule.edge_list()
-    assert rule.i_mask == 1 << head
-    assert rule.o_mask == 1 << head
+    code = lib.codes[choice.rule_id]
+    assert code[0] == 2
+    ((tail, head),) = code_edges(code)
+    assert code[1] == 1 << head
+    assert code[2] == 1 << head
     costs = sorted(
         c for c, sets in state.tables[choice.code].items() for _ in sets
     )

@@ -24,7 +24,7 @@ from vrgc.mdl import (
     default_params,
     pcr,
 )
-from vrgc.rules import Rule
+from vrgc.rules import canonical_code, check_codes, code_edges
 
 
 def edit_cost(graph, nodes, i_mask, o_mask):
@@ -48,8 +48,9 @@ def test_analyze_set_patterns(demo6):
 
 
 def test_analyze_set_fragment(demo6):
-    rule = Rule(3, analyze_set(demo6, (1, 2, 3)).adj, 0b001, 0b100)
-    assert sorted(rule.edge_list()) == [(0, 1), (0, 2), (1, 2)]
+    adj = analyze_set(demo6, (1, 2, 3)).adj
+    check_codes([canonical_code(3, adj, 0b001, 0b100)])
+    assert sorted(code_edges(bytes((3, 0b001, 0b100, *adj)))) == [(0, 1), (0, 2), (1, 2)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,14 +144,15 @@ def test_edit_cost_matches_oracle(seed):
 
 
 def best_candidates(graph, nodes):
-    """Every minimum-cost (rule, edits) pair of a node set, ties all kept."""
+    """Every minimum-cost ((k, adj, i_mask, o_mask), edits) pair of a node
+    set, ties all kept."""
     ordered = tuple(sorted(nodes))
     analysis = analyze_set(graph, ordered)
     out = []
     for i_mask, o_mask in analysis.mask_pairs():
         edits = boundary_edits(analysis, i_mask, o_mask)
         assert len(edits) == analysis.cost
-        out.append((Rule(len(ordered), analysis.adj, i_mask, o_mask), edits))
+        out.append(((len(ordered), analysis.adj, i_mask, o_mask), edits))
     return out
 
 
@@ -165,7 +167,7 @@ def test_edits_produce_exact_occurrence(seed):
     if not sets:
         return
     nodes = sets[rng.randrange(len(sets))]
-    for rule, edits in best_candidates(g, nodes):
+    for (_, _, i_mask, o_mask), edits in best_candidates(g, nodes):
         edited = g.copy()
         for p, external, direction in edits:
             if direction == "in":
@@ -174,9 +176,9 @@ def test_edits_produce_exact_occurrence(seed):
                 edited.toggle_edge(nodes[p], external)
         _, in_pats, out_pats = naive_set_read(edited, nodes)
         for _, pat in in_pats:
-            assert pat == rule.i_mask
+            assert pat == i_mask
         for _, pat in out_pats:
-            assert pat == rule.o_mask
+            assert pat == o_mask
 
 
 def table_for_tests():

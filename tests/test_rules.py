@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -8,16 +7,30 @@ from hypothesis import strategies as st
 
 from vrgc.graphs import DiGraph
 from vrgc.rules import (
-    Rule,
     RuleError,
     RuleLibrary,
     apply_rule,
     canonical_code,
     canonical_form,
     check_codes,
-    rule_from_code,
+    code_edges,
     rule_to_dot,
 )
+
+# A rule in these tests is the tuple ``(k, adj, i_mask, o_mask)`` that
+# ``canonical_form`` takes; ``fields`` reads it back from a code.
+
+
+def fields(code):
+    return code[0], tuple(code[3:]), code[1], code[2]
+
+
+def is_valid(rule):
+    try:
+        check_codes([canonical_code(*rule)])
+    except RuleError:
+        return False
+    return True
 
 
 def all_connected_rules(k):
@@ -28,44 +41,32 @@ def all_connected_rules(k):
         for bit, (i, j) in zip(present, pairs):
             if bit:
                 adj[i] |= 1 << j
-        try:
-            base = Rule(k, tuple(adj), 0, 0)
-        except RuleError:
+        if not is_valid((k, tuple(adj), 0, 0)):
             continue
         for i_mask in range(1 << k):
             for o_mask in range(1 << k):
-                yield Rule(k, base.adj, i_mask, o_mask)
+                yield k, tuple(adj), i_mask, o_mask
 
 
 def permute(rule, perm):
     """Relabel the rule so new position ``n`` holds old position ``perm[n]``."""
+    k, adj, i_mask, o_mask = rule
     new_of = {old: new for new, old in enumerate(perm)}
-    adj = [0] * rule.k
-    for i, j in rule.edge_list():
-        adj[new_of[i]] |= 1 << new_of[j]
+    new_adj = [0] * k
+    for i, j in code_edges(bytes((k, i_mask, o_mask, *adj))):
+        new_adj[new_of[i]] |= 1 << new_of[j]
 
     def mask(m):
-        return sum(1 << new_of[v] for v in range(rule.k) if m >> v & 1)
+        return sum(1 << new_of[v] for v in range(k) if m >> v & 1)
 
-    return Rule(rule.k, tuple(adj), mask(rule.i_mask), mask(rule.o_mask))
+    return k, tuple(new_adj), mask(i_mask), mask(o_mask)
 
 
 def orbit(rule):
     """All relabelings of a rule; the isomorphism-class oracle."""
     return frozenset(
-        permute(rule, perm) for perm in itertools.permutations(range(rule.k))
+        permute(rule, perm) for perm in itertools.permutations(range(rule[0]))
     )
-
-
-def test_rule_validation():
-    with pytest.raises(RuleError):
-        Rule(2, (1, 0), 0, 0)  # self-loop at position 0
-    with pytest.raises(RuleError):
-        Rule(2, (0, 0), 0, 0)  # disconnected
-    with pytest.raises(RuleError):
-        Rule(3, (2, 4), 0, 0)  # wrong row count
-    with pytest.raises(RuleError):
-        Rule(2, (4, 0), 0, 0)  # bit outside fragment
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -73,7 +74,7 @@ def test_canonical_code_exhaustive(k):
     """Equal codes exactly when isomorphic, over every k-node rule."""
     by_orbit = {}
     for rule in all_connected_rules(k):
-        by_orbit.setdefault(orbit(rule), set()).add(canonical_code(*astuple(rule)))
+        by_orbit.setdefault(orbit(rule), set()).add(canonical_code(*rule))
     for codes in by_orbit.values():
         assert len(codes) == 1
 
@@ -86,25 +87,24 @@ def test_canonical_code_sampled_k4():
             for j in range(4):
                 if i != j and rng.random() < 0.5:
                     adj[i] |= 1 << j
-        try:
-            rule = Rule(4, tuple(adj), rng.randrange(16), rng.randrange(16))
-        except RuleError:
+        rule = (4, tuple(adj), rng.randrange(16), rng.randrange(16))
+        if not is_valid(rule):
             continue
         perm = tuple(rng.sample(range(4), 4))
-        assert canonical_code(*astuple(rule)) == canonical_code(*astuple(permute(rule, perm)))
+        assert canonical_code(*rule) == canonical_code(*permute(rule, perm))
 
 
 def reference_canonical_form(rule):
-    """The ``Rule``-keyed canonical form as it was before the raw-field
+    """The rule-keyed canonical form as it was before the raw-field
     cache, frozen here as an oracle: brute force over within-group
     arrangements of the (i, o, out-degree, in-degree) invariant groups,
     scanning every column of every row."""
-    k = rule.k
+    k, adj, i_mask, o_mask = rule
     groups = {}
     for v in range(k):
-        out = rule.adj[v].bit_count()
-        inn = sum(rule.adj[u] >> v & 1 for u in range(k))
-        groups.setdefault((rule.i_mask >> v & 1, rule.o_mask >> v & 1, out, inn), []).append(v)
+        out = adj[v].bit_count()
+        inn = sum(adj[u] >> v & 1 for u in range(k))
+        groups.setdefault((i_mask >> v & 1, o_mask >> v & 1, out, inn), []).append(v)
     best_key = best_perm = None
     arrangements = (itertools.permutations(groups[key]) for key in sorted(groups))
     for combo in itertools.product(*arrangements):
@@ -113,12 +113,12 @@ def reference_canonical_form(rule):
         for new, old in enumerate(perm):
             inv[old] = new
         key = tuple(
-            sum(1 << inv[j] for j in range(k) if rule.adj[old] >> j & 1) for old in perm
+            sum(1 << inv[j] for j in range(k) if adj[old] >> j & 1) for old in perm
         )
         if best_key is None or key < best_key:
             best_key, best_perm = key, perm
-    i_new = sum((rule.i_mask >> old & 1) << new for new, old in enumerate(best_perm))
-    o_new = sum((rule.o_mask >> old & 1) << new for new, old in enumerate(best_perm))
+    i_new = sum((i_mask >> old & 1) << new for new, old in enumerate(best_perm))
+    o_new = sum((o_mask >> old & 1) << new for new, old in enumerate(best_perm))
     nbytes = (k + 7) // 8
     code = bytes([k, i_new, o_new]) + b"".join(row.to_bytes(nbytes, "big") for row in best_key)
     return code, best_perm
@@ -141,13 +141,13 @@ def connected_rules(draw):
         if u != v:
             adj[u] |= 1 << v
     masks = st.integers(0, (1 << k) - 1)
-    return Rule(k, tuple(adj), draw(masks), draw(masks))
+    return k, tuple(adj), draw(masks), draw(masks)
 
 
 @settings(max_examples=150, deadline=None)
 @given(rule=connected_rules())
 def test_canonical_form_matches_reference(rule):
-    assert canonical_form(*astuple(rule)) == reference_canonical_form(rule)
+    assert canonical_form(*rule) == reference_canonical_form(rule)
 
 
 def symmetric_fragments(k):
@@ -171,67 +171,65 @@ def test_canonical_form_matches_reference_on_symmetric_fragments(k):
     for adj in symmetric_fragments(k):
         for i_mask, o_mask in [(0, 0), (full, full), (1, 0b10), (0b101, full)]:
             for perm in orders:
-                rule = permute(Rule(k, adj, i_mask, o_mask), perm)
-                assert canonical_form(*astuple(rule)) == reference_canonical_form(rule)
+                rule = permute((k, adj, i_mask, o_mask), perm)
+                assert canonical_form(*rule) == reference_canonical_form(rule)
 
 
 @pytest.mark.parametrize(
-    "code",
+    "code, message",
     [
-        bytes((2, 0, 0, 0, 0)),  # disconnected
-        bytes((3, 0, 0, 2, 0, 0)),  # disconnected, one node isolated
-        bytes((2, 0, 0, 1, 2)),  # self-loops
-        bytes((2, 0, 0, 4, 0)),  # adjacency bit outside the fragment
-        bytes((2, 0b100, 0, 2, 0)),  # mask bit outside the fragment
-        bytes((3, 0, 0, 2, 4)),  # wrong row count
+        (bytes((2, 0, 0, 0, 0)), "weakly connected"),  # disconnected
+        (bytes((3, 0, 0, 2, 0, 0)), "weakly connected"),  # one node isolated
+        (bytes((2, 0, 0, 1, 2)), "self-loop"),
+        (bytes((2, 0, 0, 4, 0)), "adjacency bits outside"),
+        (bytes((2, 0b100, 0, 2, 0)), "mask bits outside"),
+        (bytes((3, 0, 0, 2, 4)), "row count"),
     ],
     ids=["disconnected", "isolated_node", "self_loop", "adjacency_bit", "mask_bit", "row_count"],
 )
-def test_check_codes_rejects_invalid_fragments(code):
+def test_check_codes_rejects_invalid_fragments(code, message):
     """Codes are validated where they enter: ``canonical_form`` trusts its
-    fields, so a stored code of no valid rule is rejected by
-    ``rule_from_code`` and ``check_codes`` before it is canonicalised."""
-    with pytest.raises(RuleError):
-        rule_from_code(code)
-    with pytest.raises(RuleError):
+    fields, so ``check_codes`` rejects a stored code of no valid rule before
+    it is canonicalised."""
+    with pytest.raises(RuleError, match=message):
         check_codes([code])
 
 
 def test_canonical_rule_is_stable():
-    rule = Rule(3, (2, 4, 0), 0b100, 0b001)
-    canon = rule_from_code(canonical_code(*astuple(rule)))
-    assert canonical_code(*astuple(canon)) == canonical_code(*astuple(rule))
-    assert rule_from_code(canonical_code(*astuple(canon))) == canon
+    rule = (3, (2, 4, 0), 0b100, 0b001)
+    canon = canonical_code(*rule)
+    assert canonical_code(*fields(canon)) == canon
+    check_codes([canon])
 
 
 def test_rule_code_roundtrip():
-    rule = Rule(3, (6, 4, 1), 0b011, 0b101)
-    code = canonical_code(*astuple(rule))
-    back = rule_from_code(code)
-    assert canonical_code(*astuple(back)) == code
+    """A code is ``k + 3`` bytes, and the fields it stores are a relabelling
+    of the rule it was made from."""
+    rule = (3, (6, 4, 1), 0b011, 0b101)
+    code = canonical_code(*rule)
+    assert len(code) == rule[0] + 3
+    assert fields(code) in orbit(rule)
+    assert canonical_code(*fields(code)) == code
 
 
-def test_rule_from_code_rejects_wrong_length():
+def test_check_codes_rejects_wrong_length():
     """A code is exactly ``k + 3`` bytes, and a rule has at least 2 nodes."""
     code = canonical_code(3, (6, 4, 1), 0b011, 0b101)
     assert len(code) == 6
+    check_codes([code])
     for bad in (code[:-1], code + b"\0"):
         with pytest.raises(RuleError, match="row count"):
-            rule_from_code(bad)
+            check_codes([bad])
     with pytest.raises(RuleError, match="fragment size 1"):
-        rule_from_code(bytes.fromhex("01010100"))
+        check_codes([bytes.fromhex("01010100")])
 
 
 def test_library_intern_and_ordering():
     lib = RuleLibrary()
-    a = Rule(2, (2, 0), 0b10, 0b10)
-    b = Rule(2, (0, 1), 0b01, 0b01)  # same structure, relabeled
-    c = Rule(2, (2, 0), 0b01, 0b01)
-    rid_a, new_a = lib.intern_code(canonical_code(*astuple(a)))
-    rid_b, new_b = lib.intern_code(canonical_code(*astuple(b)))
-    rid_c, new_c = lib.intern_code(canonical_code(*astuple(c)))
-    assert new_a and not new_b and new_c
-    assert rid_a == rid_b != rid_c
+    rid_a = lib.intern_code(canonical_code(2, (2, 0), 0b10, 0b10))
+    rid_b = lib.intern_code(canonical_code(2, (0, 1), 0b01, 0b01))  # same structure, relabeled
+    rid_c = lib.intern_code(canonical_code(2, (2, 0), 0b01, 0b01))
+    assert (rid_a, rid_b, rid_c) == (0, 0, 1)
     assert len(lib) == 2
     assert lib.ordered_ids() == [rid_a, rid_c]  # no extractions: id order
     lib.record_extraction(rid_c)
@@ -291,6 +289,6 @@ def test_apply_rule_errors():
 
 
 def test_rule_to_dot_mentions_boundary():
-    dot = rule_to_dot(Rule(2, (2, 0), 0b10, 0b01))
+    dot = rule_to_dot(canonical_code(2, (2, 0), 0b10, 0b01))
     assert "digraph" in dot
     assert "in1" in dot and "out0" in dot

@@ -2,7 +2,6 @@
 registration, each checked against a full-recomputation oracle at every
 iteration of a real extraction on small random ER graphs."""
 
-from dataclasses import astuple
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +12,7 @@ from conftest import filled_index, naive_set_read
 from vrgc import engine
 from vrgc.enumeration import ExtractConfig
 from vrgc.mdl import analyze_set, boundary_edits, default_params, pcr
-from vrgc.rules import Rule, canonical_code, canonical_form
+from vrgc.rules import canonical_code, canonical_form, check_codes
 from vrgc.synth import gen_er, gen_ring_lattice
 
 
@@ -105,8 +104,9 @@ def first_pairs(graph, nodes):
     first = {}
     adj = naive_set_read(graph, nodes)[0]
     for i_mask, o_mask in analyze_set(graph, nodes).mask_pairs():
-        rule = Rule(len(nodes), adj, i_mask, o_mask)
-        first.setdefault(canonical_code(*astuple(rule)), (i_mask, o_mask))
+        code = canonical_code(len(nodes), adj, i_mask, o_mask)
+        check_codes([code])
+        first.setdefault(code, (i_mask, o_mask))
     return first
 
 

@@ -28,7 +28,7 @@ def test_module_imports_stdlib_only(path):
 
 
 def test_check_sees_a_third_party_import():
-    assert imported_roots(ast.parse("import numpy.linalg\nfrom .rules import Rule")) == {
+    assert imported_roots(ast.parse("import numpy.linalg\nfrom .rules import RuleLibrary")) == {
         "numpy",
         "vrgc",
     }

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrgc.synth import (
-    NoiseConfig,
     ParamInvalid,
     gen_binary_tree,
     gen_chung_lu_directed,
@@ -65,7 +64,7 @@ def test_ring_lattice():
 
 def test_rewire_identity_at_zero():
     g = gen_binary_tree(31)
-    assert rewire(g, NoiseConfig(r=0.0, seed=3)) == g
+    assert rewire(g, 0.0, 3) == g
 
 
 @settings(max_examples=30, deadline=None)
@@ -75,7 +74,7 @@ def test_rewire_identity_at_zero():
 )
 def test_rewire_preserves_edge_count_and_simplicity(r, seed):
     g = gen_binary_tree(63)
-    noisy = rewire(g, NoiseConfig(r=r, seed=seed))
+    noisy = rewire(g, r, seed)
     assert noisy.num_edges() == g.num_edges()
     for u, v in noisy.edges():
         assert u != v
@@ -87,12 +86,14 @@ def test_rewire_preserves_edge_count_and_simplicity(r, seed):
 
 def test_rewire_determinism():
     g = gen_ring_lattice(50, 4)
-    assert rewire(g, NoiseConfig(0.5, 9)) == rewire(g, NoiseConfig(0.5, 9))
+    assert rewire(g, 0.5, 9) == rewire(g, 0.5, 9)
 
 
-def test_noise_config_validation():
-    with pytest.raises(ParamInvalid):
-        NoiseConfig(r=1.5)
+def test_rewire_rejects_probability_outside_unit_interval():
+    g = gen_binary_tree(7)
+    for r in (1.5, -0.1):
+        with pytest.raises(ParamInvalid, match="outside"):
+            rewire(g, r, 0)
 
 
 def test_er_exact_edges_and_determinism():
