@@ -32,10 +32,6 @@ class CLIParseError(Exception):
     pass
 
 
-class CLIConfigError(Exception):
-    pass
-
-
 def _shortcut(value: str):
     if value == "off":
         return None
@@ -138,7 +134,7 @@ def load_or_generate(args) -> DiGraph:
             deg = _balanced_degrees(n, m)
             graph = synth.gen_chung_lu_directed(deg, deg, args.seed)
     else:
-        raise CLIConfigError("either --input or --generator is required")
+        raise ConfigInvalid("either --input or --generator is required")
     if args.rewire:
         graph = synth.rewire(graph, args.rewire, args.seed)
     return graph
@@ -147,7 +143,7 @@ def load_or_generate(args) -> DiGraph:
 def _emit_set(args) -> set[str]:
     emit = {token.strip() for token in args.emit.split(",") if token.strip()}
     if not emit or not emit <= {"json", "dot"}:
-        raise CLIConfigError(f"--emit takes json and dot, got {args.emit!r}")
+        raise ConfigInvalid(f"--emit takes json and dot, got {args.emit!r}")
     return emit
 
 
@@ -226,7 +222,7 @@ def cmd_roundtrip(args) -> int:
 def cmd_compare(args) -> int:
     emit = _emit_set(args)
     if args.top < 0:
-        raise CLIConfigError(f"--top must be non-negative, got {args.top}")
+        raise ConfigInvalid(f"--top must be non-negative, got {args.top}")
     graph = load_or_generate(args)
     config = make_config(args)
     result = extract(graph, config)
@@ -271,11 +267,11 @@ def cmd_sweep(args) -> int:
         raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
         values = [float(v) if args.axis == "rewire" else int(v) for v in raw_values]
     except ValueError as exc:
-        raise CLIConfigError(f"bad --values: {exc}")
+        raise ConfigInvalid(f"bad --values: {exc}")
     if not values:
-        raise CLIConfigError("--values is empty")
+        raise ConfigInvalid("--values is empty")
     if args.axis == "nodes" and not args.generator:
-        raise CLIConfigError("--axis nodes needs --generator")
+        raise ConfigInvalid("--axis nodes needs --generator")
     points = []
     for value in values:
         point = argparse.Namespace(**vars(args))
@@ -321,7 +317,7 @@ def main(argv=None) -> int:
     except CLIParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CLIConfigError, ConfigInvalid, ParamInvalid) as exc:
+    except (ConfigInvalid, ParamInvalid) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

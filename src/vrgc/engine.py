@@ -158,14 +158,16 @@ def select_best(state: EnumState) -> Optional[Choice]:
     return Choice(best.rid, best.code, nodes, best.cost)
 
 
-def extract_one(graph: DiGraph, choice: Choice) -> ApplicationRecord:
+def extract_one(graph: DiGraph, choice: Choice) -> tuple[ApplicationRecord, set[int]]:
     """Build the chosen occurrence's replay record, then apply it in
     place: toggle its edits and collapse its nodes.  The record follows the
     first minimum-cost mask pair with the chosen code, as registration saw
-    it; ``StaleCandidate``, before any edit, if no pair at that cost has it."""
+    it; ``StaleCandidate``, before any edit, if no pair at that cost has it.
+    Returns the record and the nodes whose adjacency the extraction
+    changed: the set and every node adjacent to it before the edits."""
     nodes = choice.nodes
     analysis = analyze_set(graph, nodes)
-    for i_mask, o_mask in analysis.mask_pairs() if analysis.cost == choice.cost else ():
+    for i_mask, o_mask in analysis.pairs if analysis.cost == choice.cost else ():
         code, perm = canonical_form(len(nodes), analysis.adj, i_mask, o_mask)
         if code == choice.code:
             break
@@ -180,7 +182,7 @@ def extract_one(graph: DiGraph, choice: Choice) -> ApplicationRecord:
     )
     _toggle_edits(graph, record)
     graph.collapse(set(nodes))
-    return record
+    return record, {*nodes, *analysis.in_pats, *analysis.out_pats}
 
 
 def _toggle_edits(graph: DiGraph, record: ApplicationRecord) -> None:
@@ -212,12 +214,12 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
     # first p records.
     residual_bits = [original_bits]
     while (choice := select_best(state)) is not None:
-        record = extract_one(g, choice)
+        record, affected = extract_one(g, choice)
         if config.mdl_stop:
             residual_bits.append(b_graph(g.num_nodes(), g.num_edges()))
         library.record_extraction(choice.rule_id)
         records.append(record)
-        update_after_extraction(state, record)
+        update_after_extraction(state, affected)
     if config.mdl_stop:
         # Keep the shortest prefix with the fewest bits; undo the rest.
         written = accumulate(map(sum, record_bits(records, library.codes, n0)), initial=0)

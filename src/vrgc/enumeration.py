@@ -83,13 +83,11 @@ def enumerate_connected_sets(
         root_list = sorted(set(roots) & graph.active)
     k_min, k_max = config.k_min, config.k_max
 
-    def grow(members: set[int], excluded: set[int]) -> Iterator[tuple[int, ...]]:
-        frontier: set[int] = set()
-        for v in members:
-            frontier |= graph.neighbors(v)
-        frontier -= members
-        frontier -= excluded
-        local_excluded = set(excluded)
+    def grow(members: set[int], frontier: set[int], excluded: set[int]) -> Iterator[tuple[int, ...]]:
+        # ``frontier`` is every neighbour of ``members`` outside them and
+        # ``excluded``; each child adds ``w``'s neighbours to it and leaves
+        # out its earlier siblings.
+        excluded = set(excluded)
         for w in sorted(frontier):
             grown = members | {w}
             extend = len(grown) < k_max
@@ -100,12 +98,12 @@ def enumerate_connected_sets(
                 if extend:
                     extend = should_extend(c, state.c_best(), len(grown), config)
             if extend:
-                yield from grow(grown, local_excluded)
-            local_excluded.add(w)
+                yield from grow(grown, (frontier | graph.neighbors(w)) - grown - excluded, excluded)
+            excluded.add(w)
 
     processed: set[int] = set()
     for r in root_list:
-        yield from grow({r}, processed)
+        yield from grow({r}, graph.neighbors(r) - processed, processed)
         processed.add(r)
 
 
@@ -154,16 +152,15 @@ class EnumState:
 
         ``analyze_set`` reads the set out of the graph once, and each
         minimum-cost mask pair is looked up by its raw ``(k, adj, i_mask,
-        o_mask)`` fields; ``rules.canonical_form`` caches under that key
-        and validates a fragment only on its first miss.  The only memo
-        tables consulted here are the ``lru_cache``s of
+        o_mask)`` fields, the key ``rules.canonical_form`` caches under;
+        it validates nothing (see the ``rules`` module docstring).  The
+        only memo tables consulted here are the ``lru_cache``s of
         ``rules.canonical_form`` and ``mdl._side_minima``, so clearing both
         (as the benchmark does before each round) starts registration cold.
         """
         analysis = analyze_set(self.graph, nodes)
-        k, cost = len(nodes), analysis.cost
-        pairs = analysis.mask_pairs()
-        codes = tuple(dict.fromkeys(canonical_code(k, analysis.adj, i, o) for i, o in pairs))
+        k, cost, adj = len(nodes), analysis.cost, analysis.adj
+        codes = tuple(dict.fromkeys(canonical_code(k, adj, i, o) for i, o in analysis.pairs))
         self.entries[nodes] = SetEntry(cost, codes)
         self._cost_counts[cost] = self._cost_counts.get(cost, 0) + 1
         for code in codes:
@@ -194,18 +191,13 @@ class EnumState:
             self.remove_set(t)
 
 
-def update_after_extraction(state: EnumState, record) -> None:
-    """Refresh the index once ``record``, an ``engine.ApplicationRecord``,
-    has been applied to ``state.graph``: drop every occurrence touching an
-    affected node and re-enumerate the sets that contain a live one.
-
-    Every pre-edit external either keeps an edge to the survivor or lost
-    all its edges to the set by edits, so the record's node ids, the
-    survivor's neighbours and the edits' externals are all the nodes whose
-    occurrences the extraction can have changed.
-    """
-    affected = set(record.node_ids) | state.graph.neighbors(record.survivor)
-    affected.update(external for _, external, _ in record.edits)
+def update_after_extraction(state: EnumState, affected: set[int]) -> None:
+    """Refresh the index once an extraction has been applied to
+    ``state.graph``: drop every occurrence touching an ``affected`` node
+    and re-enumerate the sets that contain a live one.  ``affected`` is
+    what ``engine.extract_one`` returns: the extracted set and every node
+    adjacent to it before the edits, the only nodes whose adjacency the
+    extraction changed."""
     state.remove_touching(affected)
     for _ in enumerate_connected_sets(state, affected):
         pass

@@ -28,26 +28,22 @@ def ceil_log2(x: int) -> int:
 
 @dataclass
 class SetAnalysis:
-    """One node set read out of the graph, over the positions of ``nodes``.
+    """One node set read out of the graph, over the positions of the
+    ``nodes`` it was read from.
 
     ``adj`` holds the induced fragment's adjacency rows (bit ``j`` of
     ``adj[i]`` is the edge ``nodes[i] -> nodes[j]``).  ``in_pats`` maps
     each external to a mask where bit ``p`` means the external points at
     ``nodes[p]``; ``out_pats`` likewise for edges out of the set.
-    ``cost`` is the minimum boundary edit cost, reached by every pair of
-    ``i_options`` and ``o_options``.
+    ``pairs`` lists every ``(i_mask, o_mask)`` pair of minimum boundary
+    edit ``cost``, ``i_mask`` outer and ``o_mask`` inner.
     """
 
-    nodes: tuple[int, ...]
     adj: tuple[int, ...]
     in_pats: dict[int, int]
     out_pats: dict[int, int]
     cost: int
-    i_options: tuple[int, ...]
-    o_options: tuple[int, ...]
-
-    def mask_pairs(self) -> list[tuple[int, int]]:
-        return [(i, o) for i in self.i_options for o in self.o_options]
+    pairs: list[tuple[int, int]]
 
 
 @lru_cache(maxsize=1 << 18)
@@ -103,7 +99,7 @@ def analyze_set(graph: DiGraph, nodes: tuple[int, ...]) -> SetAnalysis:
         in_pats.pop(v, None)
     ic, iopts = _side_minima(tuple(sorted(in_pats.values())), k)
     oc, oopts = _side_minima(tuple(sorted(out_pats.values())), k)
-    return SetAnalysis(nodes, tuple(adj), in_pats, out_pats, ic + oc, iopts, oopts)
+    return SetAnalysis(tuple(adj), in_pats, out_pats, ic + oc, [(i, o) for i in iopts for o in oopts])
 
 
 def boundary_edits(
@@ -111,7 +107,7 @@ def boundary_edits(
 ) -> list[tuple[int, int, str]]:
     """Edge toggles ``(position, external, direction)`` that make the
     analysed set an exact occurrence of the mask pair.  ``position``
-    indexes ``analysis.nodes``; ``direction`` is ``"in"`` for external ->
+    indexes the analysed nodes; ``direction`` is ``"in"`` for external ->
     set.
 
     Each external is detached when that costs no more than rewiring it to
@@ -126,7 +122,7 @@ def boundary_edits(
             rewire = pat ^ mask
             flips = pat if pat.bit_count() <= rewire.bit_count() else rewire
             edits.extend(
-                (p, external, direction) for p in range(len(analysis.nodes)) if flips >> p & 1
+                (p, external, direction) for p in range(len(analysis.adj)) if flips >> p & 1
             )
     return edits
 

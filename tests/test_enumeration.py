@@ -119,9 +119,9 @@ def test_incremental_update_matches_scratch(demo6):
     for g in (demo6, gen_er(10, 20, 1)):
         state = filled_index(g, cfg)
         while (choice := select_best(state)) is not None:
-            record = extract_one(g, choice)
+            _, affected = extract_one(g, choice)
             state.library.record_extraction(choice.rule_id)
-            update_after_extraction(state, record)
+            update_after_extraction(state, affected)
             fresh = filled_index(g, cfg)
             assert {t: e.cost for t, e in state.entries.items()} == {
                 t: e.cost for t, e in fresh.entries.items()

@@ -90,7 +90,7 @@ def test_collapse_boundary_property(seed):
 
 
 def test_parse_edge_list_roundtrip():
-    text = "# comment\n0 1\n1 2\n\n1 2\n2 0\n"
+    text = "# comment\n0 1\n1 2\n\n  # indented comment\n1 2\n2 0\n"
     g = parse_edge_list(text)
     assert g.n0 == 3
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 0)]
@@ -103,3 +103,5 @@ def test_parse_edge_list_errors():
         parse_edge_list("0 1 2\n")
     with pytest.raises(ValueError):
         parse_edge_list("a b\n")
+    with pytest.raises(ValueError, match="line 1: expected 'src dst', got '0 1 # edge'"):
+        parse_edge_list("0 1 # edge\n")

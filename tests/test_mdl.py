@@ -149,7 +149,7 @@ def best_candidates(graph, nodes):
     ordered = tuple(sorted(nodes))
     analysis = analyze_set(graph, ordered)
     out = []
-    for i_mask, o_mask in analysis.mask_pairs():
+    for i_mask, o_mask in analysis.pairs:
         edits = boundary_edits(analysis, i_mask, o_mask)
         assert len(edits) == analysis.cost
         out.append(((len(ordered), analysis.adj, i_mask, o_mask), edits))

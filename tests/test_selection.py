@@ -87,8 +87,8 @@ def test_incremental_index_matches_rebuild(g, k_max):
     real = engine.update_after_extraction
     updates = []
 
-    def checked(state, record):
-        out = real(state, record)
+    def checked(state, affected):
+        out = real(state, affected)
         assert snapshot(state) == snapshot(filled_index(state.graph, config))
         updates.append(len(state.entries))
         return out
@@ -103,7 +103,7 @@ def first_pairs(graph, nodes):
     per mask pair, mapped to the first mask pair that gives it."""
     first = {}
     adj = naive_set_read(graph, nodes)[0]
-    for i_mask, o_mask in analyze_set(graph, nodes).mask_pairs():
+    for i_mask, o_mask in analyze_set(graph, nodes).pairs:
         code = canonical_code(len(nodes), adj, i_mask, o_mask)
         check_codes([code])
         first.setdefault(code, (i_mask, o_mask))
@@ -135,24 +135,30 @@ def expected_record(graph, choice):
 @given(g=small_er, k_max=st.integers(2, 4), shortcut=st.sampled_from([1, None]))
 def test_registration_matches_rule_oracle(g, k_max, shortcut):
     """Registration matches the oracle after every extraction, and every
-    record follows the first mask pair that gives its rule's code."""
+    record follows the first mask pair that gives its rule's code.  The
+    affected nodes ``extract_one`` hands to the update are the record's
+    node ids, the survivor's neighbours after the collapse and the edits'
+    externals."""
     config = ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut)
     assert_registered_like_oracle(filled_index(g, config), g)
 
     real, real_extract = engine.update_after_extraction, engine.extract_one
     updates = []
 
-    def checked(state, record):
-        out = real(state, record)
+    def checked(state, affected):
+        out = real(state, affected)
         assert_registered_like_oracle(state, state.graph)
         updates.append(len(state.entries))
         return out
 
     def checked_extract(graph, choice):
         expected = expected_record(graph, choice)
-        record = real_extract(graph, choice)
+        record, affected = real_extract(graph, choice)
         assert record == expected
-        return record
+        assert affected == set(record.node_ids) | graph.neighbors(record.survivor) | {
+            e for _, e, _ in record.edits
+        }
+        return record, affected
 
     with (
         mock.patch.object(engine, "update_after_extraction", checked),
