@@ -3,9 +3,13 @@
 Sets are enumerated uniquely by a branch-and-exclude search: every weakly
 connected set is generated exactly once, from its smallest member (or its
 smallest member among the requested roots when the search is restricted).
-The search fills an ``EnumState``: it registers each set it emits, and
-prunes the supersets of a set that scores too far above the index's
-cheapest occurrence via the shortcut inequality.
+One ``excluded`` set serves the whole search.  It holds the nodes the
+current branch may not add: the earlier roots, the branch's members, and
+at each level the siblings already tried; each level of the recursion
+removes what it added before it returns.  The search fills an
+``EnumState``: it registers each set it emits, and prunes the supersets
+of a set that scores too far above the index's cheapest occurrence via
+the shortcut inequality.
 """
 
 from __future__ import annotations
@@ -49,20 +53,18 @@ class ExtractConfig:
             raise ConfigInvalid("shortcut parameter must be non-negative")
 
 
-def should_extend(c, c_best, k: int, config: ExtractConfig) -> bool:
-    """Whether supersets of a set with cost ``c`` are worth enumerating.
+def extension_slack(config: ExtractConfig) -> list[float]:
+    """The shortcut's slack for a set of each size ``k < k_max``.
 
-    Extension continues while ``c <= c_best + min(1 + k_max - k,
-    s + ceil(ln(k_max - k)))``; always true with the heuristic disabled.
+    The supersets of a set of ``k`` nodes and cost ``c`` are enumerated
+    while ``c <= c_best + slack[k]``, with ``slack[k] = min(1 + k_max - k,
+    s + ceil(ln(k_max - k)))``; the slack is infinite with the heuristic
+    disabled, and ``c_best`` is infinite while the index is empty.
     """
-    if config.shortcut_s is None:
-        return True
-    remaining = config.k_max - k
-    slack = min(
-        1 + remaining,
-        config.shortcut_s + math.ceil(math.log(remaining)),
-    )
-    return c <= c_best + slack
+    k_max, s = config.k_max, config.shortcut_s
+    if s is None:
+        return [INFINITE_COST] * k_max
+    return [min(1 + k_max - k, s + math.ceil(math.log(k_max - k))) for k in range(k_max)]
 
 
 def enumerate_connected_sets(
@@ -73,38 +75,35 @@ def enumerate_connected_sets(
 
     With ``roots`` given, only sets containing at least one root are
     produced (each exactly once).  Every emitted set goes through
-    ``state.register``; its cost and ``state.c_best()`` decide whether
-    its supersets are enumerated.
+    ``state.register``; its cost, ``state.c_best()`` and
+    ``extension_slack`` decide whether its supersets are enumerated.
     """
     graph, config = state.graph, state.config
-    if roots is None:
-        root_list = sorted(graph.active)
-    else:
-        root_list = sorted(set(roots) & graph.active)
+    root_list = sorted(graph.active if roots is None else graph.active & roots)
     k_min, k_max = config.k_min, config.k_max
+    slack = extension_slack(config)
+    excluded: set[int] = set()
 
-    def grow(members: set[int], frontier: set[int], excluded: set[int]) -> Iterator[tuple[int, ...]]:
-        # ``frontier`` is every neighbour of ``members`` outside them and
-        # ``excluded``; each child adds ``w``'s neighbours to it and leaves
-        # out its earlier siblings.
-        excluded = set(excluded)
+    def grow(members: tuple[int, ...], frontier: set[int]) -> Iterator[tuple[int, ...]]:
+        # ``frontier`` is every neighbour of ``members`` outside
+        # ``excluded``; each child adds ``w``'s neighbours to it.  The loop
+        # adds the whole frontier to ``excluded`` and removes it on return.
         for w in sorted(frontier):
-            grown = members | {w}
-            extend = len(grown) < k_max
-            if len(grown) >= k_min:
-                nodes = tuple(sorted(grown))
-                yield nodes
-                c = state.register(nodes)
-                if extend:
-                    extend = should_extend(c, state.c_best(), len(grown), config)
-            if extend:
-                yield from grow(grown, (frontier | graph.neighbors(w)) - grown - excluded, excluded)
             excluded.add(w)
+            grown = tuple(sorted((*members, w)))
+            k = len(grown)
+            extend = k < k_max
+            if k >= k_min:
+                yield grown
+                c = state.register(grown)
+                extend = extend and c <= state.c_best() + slack[k]
+            if extend:
+                yield from grow(grown, (frontier | graph.neighbors(w)) - excluded)
+        excluded.difference_update(frontier)
 
-    processed: set[int] = set()
     for r in root_list:
-        yield from grow({r}, graph.neighbors(r) - processed, processed)
-        processed.add(r)
+        excluded.add(r)
+        yield from grow((r,), graph.neighbors(r) - excluded)
 
 
 # -- occurrence index ------------------------------------------------------

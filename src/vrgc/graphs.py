@@ -140,9 +140,6 @@ class DiGraph:
             and all(self.out_adj[v] == other.out_adj.get(v, set()) for v in self.active)
         )
 
-    def __hash__(self):  # mutable; identity hashing only
-        return id(self)
-
     def __repr__(self) -> str:
         return f"DiGraph(|V|={self.num_nodes()}, |E|={self.num_edges()})"
 

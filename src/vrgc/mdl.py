@@ -55,8 +55,6 @@ def _side_minima(patterns: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...
     Each external costs the cheaper of its two repairs: rewiring it to the
     mask (the bits that differ) or detaching it (the bits it has).
     """
-    if not patterns:
-        return 0, tuple(range(1 << k))
     costed = list(zip(patterns, [p.bit_count() for p in patterns]))
     best = None
     argmin: list[int] = []

@@ -9,7 +9,7 @@ from vrgc.enumeration import (
     EnumState,
     ExtractConfig,
     enumerate_connected_sets,
-    should_extend,
+    extension_slack,
     update_after_extraction,
 )
 
@@ -25,21 +25,24 @@ def test_config_validation():
         ExtractConfig(shortcut_s=-1)
 
 
-def test_should_extend_disabled_always_true():
+def test_extension_slack_disabled_always_extends():
     cfg = ExtractConfig(k_min=2, k_max=8, shortcut_s=None)
-    assert should_extend(10_000, 0, 2, cfg)
+    slack = extension_slack(cfg)
+    assert slack == [math.inf] * 8
+    assert 10_000 <= 0 + slack[2]
 
 
-def test_should_extend_bound_values():
+def test_extension_slack_bound_values(demo6):
     cfg = ExtractConfig(k_min=2, k_max=7, shortcut_s=1)
+    slack = extension_slack(cfg)
     # k=6: remaining 1, slack = min(2, 1 + ceil(ln 1)) = 1
-    assert should_extend(1, 0, 6, cfg)
-    assert not should_extend(2, 0, 6, cfg)
+    assert slack[6] == 1
     # k=2: remaining 5, slack = min(6, 1 + ceil(ln 5)) = 3
-    assert should_extend(3, 0, 2, cfg)
-    assert not should_extend(4, 0, 2, cfg)
-    # unknown best cost: always extend
-    assert should_extend(50, math.inf, 2, cfg)
+    assert slack[2] == 3
+    # unknown best cost: an empty index's c_best is infinite, so any set extends
+    c_best = EnumState(demo6, cfg).c_best()
+    assert c_best == math.inf
+    assert 50 <= c_best + slack[2]
 
 
 def test_demo6_pairs(demo6):
@@ -76,12 +79,26 @@ def test_no_duplicates_and_oracle_small():
 
 
 def test_restricted_roots_cover_exactly(demo6):
-    cfg = ExtractConfig(k_min=2, k_max=3, shortcut_s=None)
-    everything = brute_connected_sets(demo6, 2, 3)
-    roots = {3}
-    got = list(enumerate_connected_sets(EnumState(demo6, cfg), roots))
-    assert len(got) == len(set(got))
-    assert set(got) == {t for t in everything if 3 in t}
+    """A search from several roots emits each set that holds an active
+    root exactly once.  The random cases include a root freed by a
+    ``collapse``, as ``update_after_extraction`` passes freed ids."""
+    cfg = ExtractConfig(k_min=2, k_max=4, shortcut_s=None)
+    cases = [(demo6, {3})]
+    rng = random.Random(29)
+    for _ in range(30):
+        g = random_digraph(rng, rng.randrange(5, 11), rng.randrange(6, 24))
+        roots = set(rng.sample(sorted(g.active), 3))
+        edges = sorted((u, v) for u in g.active for v in g.out_adj[u])
+        if edges:
+            u, v = rng.choice(edges)
+            g.collapse({u, v})
+            roots.add(max(u, v))
+        cases.append((g, roots))
+    for g, roots in cases:
+        got = list(enumerate_connected_sets(EnumState(g, cfg), roots))
+        assert len(got) == len(set(got))
+        live = roots & g.active
+        assert set(got) == {t for t in brute_connected_sets(g, 2, 4) if live.intersection(t)}
 
 
 def test_pruning_only_drops_supersets(demo6):

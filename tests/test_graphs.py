@@ -19,6 +19,13 @@ def test_neighbors_ignore_direction(demo6):
     assert demo6.neighbors(3) == {1, 2, 4, 5}
 
 
+def test_equal_graphs_are_unhashable(demo6):
+    """A graph compares by value and is mutable, so it has no hash."""
+    assert demo6 == demo6.copy()
+    with pytest.raises(TypeError):
+        hash(demo6)
+
+
 def test_toggle_flips_presence(demo6):
     demo6.toggle_edge(1, 3)
     assert not demo6.has_edge(1, 3)

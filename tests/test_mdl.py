@@ -15,6 +15,7 @@ from conftest import (
 )
 from vrgc.mdl import (
     BitParams,
+    _side_minima,
     analyze_set,
     b_application,
     b_graph,
@@ -108,6 +109,12 @@ def test_deletion_preferred_on_ties(demo6):
     external_4 = [e for e in edits if e[1] == 4]
     assert external_4 == [(1, 4, "in")]
     assert demo6.has_edge(4, 3)  # so the one toggle of external 4 deletes
+
+
+def test_side_minima_without_patterns_keeps_every_mask():
+    # With no externals every mask costs 0, so every mask is a minimiser.
+    for k in range(2, 9):
+        assert _side_minima((), k) == (0, tuple(range(1 << k)))
 
 
 def brute_min_cost(graph, nodes, i_mask, o_mask):
