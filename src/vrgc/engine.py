@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterator, Optional
 
 from .enumeration import (
@@ -167,7 +167,8 @@ def extract_one(graph: DiGraph, choice: Choice) -> tuple[ApplicationRecord, set[
     changed: the set and every node adjacent to it before the edits."""
     nodes = choice.nodes
     analysis = analyze_set(graph, nodes)
-    for i_mask, o_mask in analysis.pairs if analysis.cost == choice.cost else ():
+    pairs = product(analysis.i_masks, analysis.o_masks) if analysis.cost == choice.cost else ()
+    for i_mask, o_mask in pairs:
         code, perm = canonical_form(len(nodes), analysis.adj, i_mask, o_mask)
         if code == choice.code:
             break

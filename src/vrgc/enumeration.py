@@ -10,6 +10,12 @@ removes what it added before it returns.  The search fills an
 ``EnumState``: it registers each set it emits, and prunes the supersets
 of a set that scores too far above the index's cheapest occurrence via
 the shortcut inequality.
+
+After each extraction the index touches only what changed: a ``node ->
+sets`` index finds the entries holding an affected node, which are
+suspended rather than dropped; the search restricted to the affected
+nodes then revisits them, and an entry whose set reads the same as before
+is kept, not rebuilt.
 """
 
 from __future__ import annotations
@@ -109,12 +115,17 @@ def enumerate_connected_sets(
 # -- occurrence index ------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SetEntry:
-    """An indexed set's minimum edit cost and minimum-cost rule codes, first seen first."""
+    """An indexed set's minimum edit cost and minimum-cost rule codes,
+    first seen first, and what they are a function of: the fragment's
+    adjacency rows and each side's minimizing masks (``mdl.SetAnalysis``)."""
 
     cost: int
     codes: tuple[bytes, ...]
+    adj: tuple[int, ...]
+    i_masks: tuple[int, ...]
+    o_masks: tuple[int, ...]
 
 
 class EnumState:
@@ -126,8 +137,13 @@ class EnumState:
     cost; the cheapest registered cost is tracked for the shortcut bound.
     ``dirty`` collects the codes whose tables changed since rule selection
     last read them; ``keys`` and ``heap`` hold the selection's scores and
-    belong to ``engine.select_best``.  ``register`` and ``remove_set`` are
-    the only writers of ``entries``, ``tables`` and the cost counts.
+    belong to ``engine.select_best``.
+
+    ``by_node[v]`` lists the sets in ``entries`` or ``suspended`` that hold
+    ``v``, each once.  During an update, ``suspended`` holds the entries
+    that touch an affected node: they are out of ``entries`` and the cost
+    counts, so ``c_best`` ignores them, but still in ``tables``, which
+    nothing reads until the update ends.
     """
 
     def __init__(self, graph: DiGraph, config: ExtractConfig):
@@ -135,6 +151,8 @@ class EnumState:
         self.config = config
         self.library = RuleLibrary()
         self.entries: dict[tuple[int, ...], SetEntry] = {}
+        self.suspended: dict[tuple[int, ...], SetEntry] = {}
+        self.by_node: list[list[tuple[int, ...]]] = [[] for _ in range(graph.n0)]
         self.tables: dict[bytes, dict[int, set[tuple[int, ...]]]] = {}
         self._cost_counts: dict[int, int] = {}
         self.dirty: set[bytes] = set()
@@ -145,36 +163,47 @@ class EnumState:
         return min(self._cost_counts) if self._cost_counts else INFINITE_COST
 
     def register(self, nodes: tuple[int, ...]) -> int:
-        """Score a node set not yet in the index, intern its minimum-cost
-        rules and index it; ``enumerate_connected_sets`` calls it on every
-        set it emits and reads the returned cost.
+        """Score a node set not in ``entries``, index it and return its
+        cost; ``enumerate_connected_sets`` calls it on every set it emits.
 
-        ``analyze_set`` reads the set out of the graph once, and each
+        A suspended set whose cost, adjacency rows and minimizing masks
+        are unchanged gets its entry back as it was: its codes follow from
+        those, so nothing is looked up, interned, written or dirtied.  Any
+        other set is indexed afresh, its suspended entry removed first:
+        ``analyze_set`` reads it out of the graph once, and each
         minimum-cost mask pair is looked up by its raw ``(k, adj, i_mask,
-        o_mask)`` fields, the key ``rules.canonical_form`` caches under;
-        it validates nothing (see the ``rules`` module docstring).  The
-        only memo tables consulted here are the ``lru_cache``s of
+        o_mask)`` fields, the key ``rules.canonical_form`` caches under; it
+        validates nothing (see the ``rules`` module docstring).  The only
+        memo tables consulted here are the ``lru_cache``s of
         ``rules.canonical_form`` and ``mdl._side_minima``, so clearing both
         (as the benchmark does before each round) starts registration cold.
         """
         analysis = analyze_set(self.graph, nodes)
-        k, cost, adj = len(nodes), analysis.cost, analysis.adj
-        codes = tuple(dict.fromkeys(canonical_code(k, adj, i, o) for i, o in analysis.pairs))
-        self.entries[nodes] = SetEntry(cost, codes)
+        cost, adj = analysis.cost, analysis.adj
+        i_masks, o_masks = analysis.i_masks, analysis.o_masks
+        entry = self.suspended.pop(nodes, None)
+        if entry is None:
+            for v in nodes:
+                self.by_node[v].append(nodes)
+        elif (entry.cost, entry.adj, entry.i_masks, entry.o_masks) != (cost, adj, i_masks, o_masks):
+            self.remove_set(nodes, entry)
+            entry = None
+        if entry is None:
+            k = len(nodes)
+            codes = tuple(
+                dict.fromkeys(canonical_code(k, adj, i, o) for i in i_masks for o in o_masks)
+            )
+            entry = SetEntry(cost, codes, adj, i_masks, o_masks)
+            for code in codes:
+                self.library.intern_code(code)
+                self.tables.setdefault(code, {}).setdefault(cost, set()).add(nodes)
+            self.dirty.update(codes)
+        self.entries[nodes] = entry
         self._cost_counts[cost] = self._cost_counts.get(cost, 0) + 1
-        for code in codes:
-            self.library.intern_code(code)
-            self.tables.setdefault(code, {}).setdefault(cost, set()).add(nodes)
-        self.dirty.update(codes)
         return cost
 
-    def remove_set(self, nodes: tuple[int, ...]) -> None:
-        entry = self.entries.pop(nodes)
-        count = self._cost_counts[entry.cost] - 1
-        if count:
-            self._cost_counts[entry.cost] = count
-        else:
-            del self._cost_counts[entry.cost]
+    def remove_set(self, nodes: tuple[int, ...], entry: SetEntry) -> None:
+        """Take a suspended set's entry out of the tables."""
         for code in entry.codes:
             levels = self.tables[code]
             levels[entry.cost].discard(nodes)
@@ -185,18 +214,44 @@ class EnumState:
         self.dirty.update(entry.codes)
 
     def remove_touching(self, nodes: set[int]) -> None:
-        doomed = [t for t in self.entries if not nodes.isdisjoint(t)]
-        for t in doomed:
-            self.remove_set(t)
+        """Suspend every entry that holds one of ``nodes``: move it from
+        ``entries`` to ``suspended`` and take its cost out of the counts."""
+        entries, suspended, counts = self.entries, self.suspended, self._cost_counts
+        for v in nodes:
+            for t in self.by_node[v]:
+                entry = entries.pop(t, None)
+                if entry is not None:
+                    suspended[t] = entry
+                    count = counts[entry.cost] - 1
+                    if count:
+                        counts[entry.cost] = count
+                    else:
+                        del counts[entry.cost]
+
+    def drop_suspended(self) -> None:
+        """Remove the suspended entries, and take their sets out of
+        ``by_node``."""
+        members = set()
+        for nodes, entry in self.suspended.items():
+            self.remove_set(nodes, entry)
+            members.update(nodes)
+        self.suspended.clear()
+        entries = self.entries
+        for v in members:
+            self.by_node[v] = [t for t in self.by_node[v] if t in entries]
 
 
 def update_after_extraction(state: EnumState, affected: set[int]) -> None:
     """Refresh the index once an extraction has been applied to
-    ``state.graph``: drop every occurrence touching an ``affected`` node
-    and re-enumerate the sets that contain a live one.  ``affected`` is
+    ``state.graph``: suspend every occurrence touching an ``affected``
+    node, re-enumerate the sets that contain a live one, and remove the
+    suspended entries the re-enumeration did not reach.  ``affected`` is
     what ``engine.extract_one`` returns: the extracted set and every node
     adjacent to it before the edits, the only nodes whose adjacency the
-    extraction changed."""
+    extraction changed.  The index ends as dropping the suspended entries
+    at once and registering every re-enumerated set afresh would leave it,
+    with ``c_best`` the same at every step, so the pruning is the same."""
     state.remove_touching(affected)
     for _ in enumerate_connected_sets(state, affected):
         pass
+    state.drop_suspended()

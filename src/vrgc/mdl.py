@@ -35,15 +35,18 @@ class SetAnalysis:
     ``adj[i]`` is the edge ``nodes[i] -> nodes[j]``).  ``in_pats`` maps
     each external to a mask where bit ``p`` means the external points at
     ``nodes[p]``; ``out_pats`` likewise for edges out of the set.
-    ``pairs`` lists every ``(i_mask, o_mask)`` pair of minimum boundary
-    edit ``cost``, ``i_mask`` outer and ``o_mask`` inner.
+    ``i_masks`` and ``o_masks`` are each side's minimizing masks, as
+    ``_side_minima`` returns them (cached, so often shared); the pairs of
+    minimum boundary edit ``cost`` are their product, ``i_mask`` outer and
+    ``o_mask`` inner.
     """
 
     adj: tuple[int, ...]
     in_pats: dict[int, int]
     out_pats: dict[int, int]
     cost: int
-    pairs: list[tuple[int, int]]
+    i_masks: tuple[int, ...]
+    o_masks: tuple[int, ...]
 
 
 @lru_cache(maxsize=1 << 18)
@@ -97,7 +100,7 @@ def analyze_set(graph: DiGraph, nodes: tuple[int, ...]) -> SetAnalysis:
         in_pats.pop(v, None)
     ic, iopts = _side_minima(tuple(sorted(in_pats.values())), k)
     oc, oopts = _side_minima(tuple(sorted(out_pats.values())), k)
-    return SetAnalysis(tuple(adj), in_pats, out_pats, ic + oc, [(i, o) for i in iopts for o in oopts])
+    return SetAnalysis(tuple(adj), in_pats, out_pats, ic + oc, iopts, oopts)
 
 
 def boundary_edits(

@@ -112,16 +112,41 @@ def test_pruning_only_drops_supersets(demo6):
 
 
 def test_state_bookkeeping(demo6):
+    """Collapsing d and f affects b, c, d, e and f.  Their entries are
+    suspended: out of ``entries`` and the cost counts, so ``c_best``
+    ignores them, but still in the tables.  The re-enumeration keeps the
+    entries of the sets that read the same and rebuilds the others, and
+    the end of the update drops the set it never reaches, ``(3, 5)``."""
     cfg = ExtractConfig(k_min=2, k_max=2, shortcut_s=None)
     state = filled_index(demo6, cfg)
     assert len(state.entries) == 6
     assert state.c_best() == 0
     costs = sorted(e.cost for e in state.entries.values())
     assert costs == [0, 0, 0, 0, 1, 2]
-    state.remove_touching({3})
-    assert len(state.entries) == 2
-    assert set(state.entries) == {(0, 1), (1, 2)}
-    assert state.c_best() == 0
+    before = dict(state.entries)
+    demo6.collapse({3, 5})
+    affected = {1, 2, 3, 4, 5}
+    state.remove_touching(affected)
+    assert not state.entries
+    assert state.suspended == before
+    assert state.c_best() == math.inf
+    assert {t for levels in state.tables.values() for sets in levels.values() for t in sets} == set(
+        before
+    )
+    for _ in enumerate_connected_sets(state, affected):
+        pass
+    assert set(state.suspended) == {(3, 5)}
+    assert {t for t, e in state.entries.items() if e is before[t]} == {(0, 1), (1, 2)}
+    state.drop_suspended()
+    assert not state.suspended
+    fresh = filled_index(demo6, cfg)
+    assert state.tables == fresh.tables
+    assert {t: (e.cost, e.codes) for t, e in state.entries.items()} == {
+        t: (e.cost, e.codes) for t, e in fresh.entries.items()
+    }
+    assert [sorted(sets) for sets in state.by_node] == [
+        [(0, 1)], [(0, 1), (1, 2), (1, 3)], [(1, 2), (2, 3)], [(1, 3), (2, 3), (3, 4)], [(3, 4)], []
+    ]
 
 
 def test_incremental_update_matches_scratch(demo6):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -156,7 +157,7 @@ def best_candidates(graph, nodes):
     ordered = tuple(sorted(nodes))
     analysis = analyze_set(graph, ordered)
     out = []
-    for i_mask, o_mask in analysis.pairs:
+    for i_mask, o_mask in product(analysis.i_masks, analysis.o_masks):
         edits = boundary_edits(analysis, i_mask, o_mask)
         assert len(edits) == analysis.cost
         out.append(((len(ordered), analysis.adj, i_mask, o_mask), edits))

@@ -3,6 +3,7 @@ registration, each checked against a full-recomputation oracle at every
 iteration of a real extraction on small random ER graphs."""
 
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import filled_index, naive_set_read
 from vrgc import engine
-from vrgc.enumeration import ExtractConfig
+from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.mdl import analyze_set, boundary_edits, default_params, pcr
 from vrgc.rules import canonical_code, canonical_form, check_codes
-from vrgc.synth import gen_er, gen_ring_lattice
+from vrgc.synth import gen_binary_tree, gen_er, gen_ring_lattice
 
 
 def full_scan_select(state):
@@ -98,12 +99,104 @@ def test_incremental_index_matches_rebuild(g, k_max):
     assert len(updates) == res.iterations
 
 
+class DropAllIndex(EnumState):
+    """The update without suspension: every entry touching an affected
+    node leaves the index at once, and the re-enumeration registers each
+    set it reaches afresh."""
+
+    def remove_touching(self, nodes):
+        for t in [t for t in self.entries if not nodes.isdisjoint(t)]:
+            entry = self.entries.pop(t)
+            self._cost_counts[entry.cost] -= 1
+            if not self._cost_counts[entry.cost]:
+                del self._cost_counts[entry.cost]
+            for code in entry.codes:
+                levels = self.tables[code]
+                levels[entry.cost].discard(t)
+                if not levels[entry.cost]:
+                    del levels[entry.cost]
+                if not levels:
+                    del self.tables[code]
+
+    def update(self, affected):
+        self.remove_touching(affected)
+        for _ in enumerate_connected_sets(self, affected):
+            pass
+
+
+def check_against_drop_all(g, config):
+    """Extract ``g``, updating a ``DropAllIndex`` on the same graph beside
+    the real index, and compare the two after every extraction; the real
+    index's ``by_node`` lists must hold each indexed set once under each of
+    its nodes.  Returns how many suspended entries the real update kept
+    and how many it rebuilt."""
+    oracles = []
+    kept = replaced = 0
+
+    def make_state(graph, config):
+        oracle = DropAllIndex(graph, config)
+        for _ in enumerate_connected_sets(oracle):
+            pass
+        oracles.append(oracle)
+        return EnumState(graph, config)
+
+    real = engine.update_after_extraction
+
+    def checked(state, affected):
+        nonlocal kept, replaced
+        touching = {t: e for t, e in state.entries.items() if not affected.isdisjoint(t)}
+        real(state, affected)
+        oracles[0].update(affected)
+        assert not state.suspended
+        assert snapshot(state) == snapshot(oracles[0])
+        listed = [(v, t) for v, sets in enumerate(state.by_node) for t in sets]
+        assert sorted(listed) == sorted((v, t) for t in state.entries for v in t)
+        assert state.library.codes == oracles[0].library.codes
+        for t, entry in touching.items():
+            if t in state.entries:
+                if state.entries[t] is entry:
+                    kept += 1
+                else:
+                    replaced += 1
+
+    with (
+        mock.patch.object(engine, "EnumState", make_state),
+        mock.patch.object(engine, "update_after_extraction", checked),
+    ):
+        res = engine.extract(g, config)
+    assert engine.decode(res) == g
+    return kept, replaced
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_er, k_max=st.integers(2, 4), shortcut=st.sampled_from([0, 1, None]))
+@example(g=gen_er(5, 5, 3), k_max=3, shortcut=1)
+def test_suspended_update_matches_drop_all(g, k_max, shortcut):
+    """After every extraction, with the shortcut on or off, the index the
+    suspending update leaves equals the one dropping every touched entry
+    and registering afresh leaves: entries, their costs and codes, the
+    tables, the cheapest cost and the library's codes in order.  In the
+    explicit example a suspended set comes back with its cost and masks
+    but other adjacency rows, so its entry must be rebuilt."""
+    check_against_drop_all(g, ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut))
+
+
+def test_suspended_update_keeps_and_rebuilds_on_a_tree():
+    """On a 127-node binary tree at k 2..5 with the shortcut on, the update
+    both keeps and rebuilds suspended entries, and matches the oracle."""
+    kept, replaced = check_against_drop_all(
+        gen_binary_tree(127), ExtractConfig(k_min=2, k_max=5, shortcut_s=1)
+    )
+    assert kept > 0 and replaced > 0
+
+
 def first_pairs(graph, nodes):
     """Each canonical code of a set's validated minimum-cost rules, built one
     per mask pair, mapped to the first mask pair that gives it."""
     first = {}
     adj = naive_set_read(graph, nodes)[0]
-    for i_mask, o_mask in analyze_set(graph, nodes).pairs:
+    analysis = analyze_set(graph, nodes)
+    for i_mask, o_mask in product(analysis.i_masks, analysis.o_masks):
         code = canonical_code(len(nodes), adj, i_mask, o_mask)
         check_codes([code])
         first.setdefault(code, (i_mask, o_mask))
