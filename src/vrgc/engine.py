@@ -158,13 +158,20 @@ def select_best(state: EnumState) -> Optional[Choice]:
     return Choice(best.rid, best.code, nodes, best.cost)
 
 
-def extract_one(graph: DiGraph, choice: Choice) -> tuple[ApplicationRecord, set[int]]:
+def extract_one(
+    graph: DiGraph, choice: Choice
+) -> tuple[ApplicationRecord, set[int], set[int]]:
     """Build the chosen occurrence's replay record, then apply it in
     place: toggle its edits and collapse its nodes.  The record follows the
     first minimum-cost mask pair with the chosen code, as registration saw
     it; ``StaleCandidate``, before any edit, if no pair at that cost has it.
-    Returns the record and the nodes whose adjacency the extraction
-    changed: the set and every node adjacent to it before the edits."""
+
+    Returns the record, the affected nodes (the set and every node adjacent
+    to it before the edits) and, among them, the nodes whose adjacency may
+    have changed: the set, every edit's external, and every external with
+    a pattern bit other than position 0.  Position 0 is the survivor, since
+    ``nodes`` is sorted, so an external tied only to it and named by no
+    edit keeps its adjacency through ``collapse``."""
     nodes = choice.nodes
     analysis = analyze_set(graph, nodes)
     pairs = product(analysis.i_masks, analysis.o_masks) if analysis.cost == choice.cost else ()
@@ -183,7 +190,10 @@ def extract_one(graph: DiGraph, choice: Choice) -> tuple[ApplicationRecord, set[
     )
     _toggle_edits(graph, record)
     graph.collapse(set(nodes))
-    return record, {*nodes, *analysis.in_pats, *analysis.out_pats}
+    changed = {*nodes, *(external for _, external, _ in edits)}
+    for pats in (analysis.in_pats, analysis.out_pats):
+        changed.update(x for x, pat in pats.items() if pat > 1)
+    return record, {*nodes, *analysis.in_pats, *analysis.out_pats}, changed
 
 
 def _toggle_edits(graph: DiGraph, record: ApplicationRecord) -> None:
@@ -215,12 +225,12 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
     # first p records.
     residual_bits = [original_bits]
     while (choice := select_best(state)) is not None:
-        record, affected = extract_one(g, choice)
+        record, affected, changed = extract_one(g, choice)
         if config.mdl_stop:
             residual_bits.append(b_graph(g.num_nodes(), g.num_edges()))
         library.record_extraction(choice.rule_id)
         records.append(record)
-        update_after_extraction(state, affected)
+        update_after_extraction(state, affected, changed)
     if config.mdl_stop:
         # Keep the shortest prefix with the fewest bits; undo the rest.
         written = accumulate(map(sum, record_bits(records, library.codes, n0)), initial=0)

@@ -14,8 +14,11 @@ the shortcut inequality.
 After each extraction the index touches only what changed: a ``node ->
 sets`` index finds the entries holding an affected node, which are
 suspended rather than dropped; the search restricted to the affected
-nodes then revisits them, and an entry whose set reads the same as before
-is kept, not rebuilt.
+nodes then revisits them.  A set's analysis is a function of its members'
+adjacency alone, so a suspended set holding none of the nodes whose
+adjacency the extraction changed gets its entry back without being read
+again; any other set is analysed, and its entry is kept, not rebuilt, if
+the set reads the same as before.
 """
 
 from __future__ import annotations
@@ -107,9 +110,14 @@ def enumerate_connected_sets(
                 yield from grow(grown, (frontier | graph.neighbors(w)) - excluded)
         excluded.difference_update(frontier)
 
-    for r in root_list:
-        excluded.add(r)
-        yield from grow((r,), graph.neighbors(r) - excluded)
+    try:
+        for r in root_list:
+            excluded.add(r)
+            yield from grow((r,), graph.neighbors(r) - excluded)
+    finally:
+        # ``grow`` refers to itself through its closure; deleting it breaks
+        # that cycle, so ``state`` does not outlive the search.
+        del grow
 
 
 # -- occurrence index ------------------------------------------------------
@@ -143,7 +151,9 @@ class EnumState:
     ``v``, each once.  During an update, ``suspended`` holds the entries
     that touch an affected node: they are out of ``entries`` and the cost
     counts, so ``c_best`` ignores them, but still in ``tables``, which
-    nothing reads until the update ends.
+    nothing reads until the update ends.  ``changed`` holds the nodes whose
+    adjacency the extraction changed, from ``remove_touching`` until
+    ``drop_suspended``.
     """
 
     def __init__(self, graph: DiGraph, config: ExtractConfig):
@@ -152,6 +162,7 @@ class EnumState:
         self.library = RuleLibrary()
         self.entries: dict[tuple[int, ...], SetEntry] = {}
         self.suspended: dict[tuple[int, ...], SetEntry] = {}
+        self.changed: set[int] = set()
         self.by_node: list[list[tuple[int, ...]]] = [[] for _ in range(graph.n0)]
         self.tables: dict[bytes, dict[int, set[tuple[int, ...]]]] = {}
         self._cost_counts: dict[int, int] = {}
@@ -166,22 +177,29 @@ class EnumState:
         """Score a node set not in ``entries``, index it and return its
         cost; ``enumerate_connected_sets`` calls it on every set it emits.
 
-        A suspended set whose cost, adjacency rows and minimizing masks
-        are unchanged gets its entry back as it was: its codes follow from
-        those, so nothing is looked up, interned, written or dirtied.  Any
+        A suspended set with no member in ``changed`` gets its entry back
+        at once: its members' adjacency, and so its analysis, is as it was.
+        Any other set is read out of the graph once by ``analyze_set``.  A
+        suspended set whose cost, adjacency rows and minimizing masks read
+        the same gets its entry back too: its codes follow from those, so
+        a kept entry is never looked up, interned, written or dirtied.  Any
         other set is indexed afresh, its suspended entry removed first:
-        ``analyze_set`` reads it out of the graph once, and each
-        minimum-cost mask pair is looked up by its raw ``(k, adj, i_mask,
+        each minimum-cost mask pair is looked up by its raw ``(k, adj, i_mask,
         o_mask)`` fields, the key ``rules.canonical_form`` caches under; it
         validates nothing (see the ``rules`` module docstring).  The only
         memo tables consulted here are the ``lru_cache``s of
         ``rules.canonical_form`` and ``mdl._side_minima``, so clearing both
         (as the benchmark does before each round) starts registration cold.
         """
+        entry = self.suspended.pop(nodes, None)
+        if entry is not None and self.changed.isdisjoint(nodes):
+            cost = entry.cost
+            self.entries[nodes] = entry
+            self._cost_counts[cost] = self._cost_counts.get(cost, 0) + 1
+            return cost
         analysis = analyze_set(self.graph, nodes)
         cost, adj = analysis.cost, analysis.adj
         i_masks, o_masks = analysis.i_masks, analysis.o_masks
-        entry = self.suspended.pop(nodes, None)
         if entry is None:
             for v in nodes:
                 self.by_node[v].append(nodes)
@@ -213,9 +231,12 @@ class EnumState:
                 del self.tables[code]
         self.dirty.update(entry.codes)
 
-    def remove_touching(self, nodes: set[int]) -> None:
+    def remove_touching(self, nodes: set[int], changed: set[int]) -> None:
         """Suspend every entry that holds one of ``nodes``: move it from
-        ``entries`` to ``suspended`` and take its cost out of the counts."""
+        ``entries`` to ``suspended`` and take its cost out of the counts.
+        ``changed``, the nodes among them whose adjacency changed, is kept
+        for ``register`` until ``drop_suspended``."""
+        self.changed = changed
         entries, suspended, counts = self.entries, self.suspended, self._cost_counts
         for v in nodes:
             for t in self.by_node[v]:
@@ -229,29 +250,33 @@ class EnumState:
                         del counts[entry.cost]
 
     def drop_suspended(self) -> None:
-        """Remove the suspended entries, and take their sets out of
-        ``by_node``."""
+        """Remove the suspended entries, take their sets out of
+        ``by_node``, and clear ``changed``."""
         members = set()
         for nodes, entry in self.suspended.items():
             self.remove_set(nodes, entry)
             members.update(nodes)
         self.suspended.clear()
+        self.changed = set()
         entries = self.entries
         for v in members:
             self.by_node[v] = [t for t in self.by_node[v] if t in entries]
 
 
-def update_after_extraction(state: EnumState, affected: set[int]) -> None:
+def update_after_extraction(state: EnumState, affected: set[int], changed: set[int]) -> None:
     """Refresh the index once an extraction has been applied to
     ``state.graph``: suspend every occurrence touching an ``affected``
     node, re-enumerate the sets that contain a live one, and remove the
-    suspended entries the re-enumeration did not reach.  ``affected`` is
-    what ``engine.extract_one`` returns: the extracted set and every node
-    adjacent to it before the edits, the only nodes whose adjacency the
-    extraction changed.  The index ends as dropping the suspended entries
-    at once and registering every re-enumerated set afresh would leave it,
-    with ``c_best`` the same at every step, so the pruning is the same."""
-    state.remove_touching(affected)
+    suspended entries the re-enumeration did not reach.  ``affected`` and
+    ``changed`` are what ``engine.extract_one`` returns: ``affected`` is
+    the extracted set and every node adjacent to it before the edits, a
+    superset of ``changed``, the nodes whose adjacency the extraction
+    changed.  A re-enumerated set with no member in ``changed`` gets its
+    suspended entry back without being analysed.  The index ends as
+    dropping the suspended entries at once and registering every
+    re-enumerated set afresh would leave it, with ``c_best`` the same at
+    every step, so the pruning is the same."""
+    state.remove_touching(affected, changed)
     for _ in enumerate_connected_sets(state, affected):
         pass
     state.drop_suspended()

@@ -76,31 +76,28 @@ def _side_minima(patterns: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...
 
 def analyze_set(graph: DiGraph, nodes: tuple[int, ...]) -> SetAnalysis:
     """Read a node set out of the graph in one walk over its members' in-
-    and out-adjacency, then score every (i, o) mask pair.  The two sides
-    are independent, so the minimum-cost pairs are the product of the
-    per-side minimizers."""
+    and out-adjacency, then score every (i, o) mask pair.  The walk maps
+    every in- and out-neighbour, members included, to its pattern; a
+    member's in-pattern is its fragment row (bit ``j`` of ``nodes[i]``'s is
+    the edge ``nodes[i] -> nodes[j]``), so the rows are popped off the
+    in-patterns and the members off the out-patterns.  The two sides are
+    independent, so the minimum-cost pairs are the product of the per-side
+    minimizers."""
     k = len(nodes)
-    pos = {v: p for p, v in enumerate(nodes)}
-    adj = []
     in_pats: dict[int, int] = {}
     out_pats: dict[int, int] = {}
     for p, v in enumerate(nodes):
         bit = 1 << p
-        row = 0
         for w in graph.out_adj[v]:
-            q = pos.get(w)
-            if q is None:
-                out_pats[w] = out_pats.get(w, 0) | bit
-            else:
-                row |= 1 << q
-        adj.append(row)
+            out_pats[w] = out_pats.get(w, 0) | bit
         for u in graph.in_adj[v]:
             in_pats[u] = in_pats.get(u, 0) | bit
+    adj = tuple([in_pats.pop(v, 0) for v in nodes])
     for v in nodes:
-        in_pats.pop(v, None)
+        out_pats.pop(v, None)
     ic, iopts = _side_minima(tuple(sorted(in_pats.values())), k)
     oc, oopts = _side_minima(tuple(sorted(out_pats.values())), k)
-    return SetAnalysis(tuple(adj), in_pats, out_pats, ic + oc, iopts, oopts)
+    return SetAnalysis(adj, in_pats, out_pats, ic + oc, iopts, oopts)
 
 
 def boundary_edits(

@@ -1,10 +1,13 @@
+import gc
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 import vrgc
 from conftest import filled_index, random_digraph
+from vrgc import engine
 from vrgc.artifact import result_from_obj, result_to_obj
 from vrgc.engine import (
     ApplicationRecord,
@@ -25,7 +29,7 @@ from vrgc.engine import (
     replay,
     select_best,
 )
-from vrgc.enumeration import ExtractConfig
+from vrgc.enumeration import EnumState, ExtractConfig
 from vrgc.graphs import DiGraph
 from vrgc.mdl import analyze_set, b_application, b_graph, b_rule
 from vrgc.rules import code_edges
@@ -205,6 +209,27 @@ def test_extraction_independent_of_hash_seed():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert len(json.loads(outputs[0])["records"]) > 0
+
+
+def test_extraction_index_dies_when_extract_returns():
+    """No reference cycle holds an extraction's index: with the cyclic
+    collector off, the ``EnumState`` is freed by the time ``extract``
+    returns."""
+    states = []
+
+    def make_state(graph, config):
+        state = EnumState(graph, config)
+        states.append(weakref.ref(state))
+        return state
+
+    gc.disable()
+    try:
+        with mock.patch.object(engine, "EnumState", make_state):
+            extract(gen_binary_tree(1000), ExtractConfig(k_min=2, k_max=5, shortcut_s=1))
+        assert len(states) == 1
+        assert states[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_extract_one_rejects_disconnected_set_before_editing(demo6):

@@ -1,9 +1,11 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 
 from conftest import brute_connected_sets, filled_index, random_digraph
+from vrgc import enumeration
 from vrgc.enumeration import (
     ConfigInvalid,
     EnumState,
@@ -12,6 +14,7 @@ from vrgc.enumeration import (
     extension_slack,
     update_after_extraction,
 )
+from vrgc.mdl import analyze_set
 
 
 def test_config_validation():
@@ -112,11 +115,14 @@ def test_pruning_only_drops_supersets(demo6):
 
 
 def test_state_bookkeeping(demo6):
-    """Collapsing d and f affects b, c, d, e and f.  Their entries are
-    suspended: out of ``entries`` and the cost counts, so ``c_best``
-    ignores them, but still in the tables.  The re-enumeration keeps the
-    entries of the sets that read the same and rebuilds the others, and
-    the end of the update drops the set it never reaches, ``(3, 5)``."""
+    """Collapsing d and f affects b, c, d, e and f, and changes the
+    adjacency of d and f alone: b, c and e are tied only to d, the
+    survivor.  The affected entries are suspended: out of ``entries`` and
+    the cost counts, so ``c_best`` ignores them, but still in the tables.
+    The re-enumeration gives ``(0, 1)`` and ``(1, 2)``, which hold no
+    changed node, their entries back without analysing them, analyses the
+    sets that hold d, and the end of the update drops the set it never
+    reaches, ``(3, 5)``."""
     cfg = ExtractConfig(k_min=2, k_max=2, shortcut_s=None)
     state = filled_index(demo6, cfg)
     assert len(state.entries) == 6
@@ -125,20 +131,30 @@ def test_state_bookkeeping(demo6):
     assert costs == [0, 0, 0, 0, 1, 2]
     before = dict(state.entries)
     demo6.collapse({3, 5})
-    affected = {1, 2, 3, 4, 5}
-    state.remove_touching(affected)
+    affected, changed = {1, 2, 3, 4, 5}, {3, 5}
+    state.remove_touching(affected, changed)
+    assert state.changed == changed
     assert not state.entries
     assert state.suspended == before
     assert state.c_best() == math.inf
     assert {t for levels in state.tables.values() for sets in levels.values() for t in sets} == set(
         before
     )
-    for _ in enumerate_connected_sets(state, affected):
-        pass
+    analysed = []
+
+    def recording(graph, nodes):
+        analysed.append(nodes)
+        return analyze_set(graph, nodes)
+
+    with mock.patch.object(enumeration, "analyze_set", recording):
+        for _ in enumerate_connected_sets(state, affected):
+            pass
+    assert sorted(analysed) == [(1, 3), (2, 3), (3, 4)]
     assert set(state.suspended) == {(3, 5)}
     assert {t for t, e in state.entries.items() if e is before[t]} == {(0, 1), (1, 2)}
     state.drop_suspended()
     assert not state.suspended
+    assert not state.changed
     fresh = filled_index(demo6, cfg)
     assert state.tables == fresh.tables
     assert {t: (e.cost, e.codes) for t, e in state.entries.items()} == {
@@ -161,9 +177,9 @@ def test_incremental_update_matches_scratch(demo6):
     for g in (demo6, gen_er(10, 20, 1)):
         state = filled_index(g, cfg)
         while (choice := select_best(state)) is not None:
-            _, affected = extract_one(g, choice)
+            _, affected, changed = extract_one(g, choice)
             state.library.record_extraction(choice.rule_id)
-            update_after_extraction(state, affected)
+            update_after_extraction(state, affected, changed)
             fresh = filled_index(g, cfg)
             assert {t: e.cost for t, e in state.entries.items()} == {
                 t: e.cost for t, e in fresh.entries.items()

@@ -17,6 +17,18 @@ from vrgc.rules import canonical_code, canonical_form, check_codes
 from vrgc.synth import gen_binary_tree, gen_er, gen_ring_lattice
 
 
+@st.composite
+def small_graphs(draw):
+    """A uniform graph, binary tree or ring lattice of 4 to 10 nodes."""
+    kind = draw(st.sampled_from(["er", "bintree", "ringlat"]))
+    n = draw(st.integers(4, 10))
+    if kind == "bintree":
+        return gen_binary_tree(n)
+    if kind == "ringlat":
+        return gen_ring_lattice(n + 1, draw(st.sampled_from([2, 4])))
+    return gen_er(n, draw(st.integers(n - 1, 2 * n)), draw(st.integers(0, 10_000)))
+
+
 def full_scan_select(state):
     """Reference selection: every known rule code is scored on every call,
     ordered by (-value, min cost, k, rule id), then the smallest node set
@@ -88,8 +100,8 @@ def test_incremental_index_matches_rebuild(g, k_max):
     real = engine.update_after_extraction
     updates = []
 
-    def checked(state, affected):
-        out = real(state, affected)
+    def checked(state, affected, changed):
+        out = real(state, affected, changed)
         assert snapshot(state) == snapshot(filled_index(state.graph, config))
         updates.append(len(state.entries))
         return out
@@ -104,7 +116,7 @@ class DropAllIndex(EnumState):
     node leaves the index at once, and the re-enumeration registers each
     set it reaches afresh."""
 
-    def remove_touching(self, nodes):
+    def remove_touching(self, nodes, changed):
         for t in [t for t in self.entries if not nodes.isdisjoint(t)]:
             entry = self.entries.pop(t)
             self._cost_counts[entry.cost] -= 1
@@ -118,8 +130,8 @@ class DropAllIndex(EnumState):
                 if not levels:
                     del self.tables[code]
 
-    def update(self, affected):
-        self.remove_touching(affected)
+    def update(self, affected, changed):
+        self.remove_touching(affected, changed)
         for _ in enumerate_connected_sets(self, affected):
             pass
 
@@ -142,11 +154,11 @@ def check_against_drop_all(g, config):
 
     real = engine.update_after_extraction
 
-    def checked(state, affected):
+    def checked(state, affected, changed):
         nonlocal kept, replaced
         touching = {t: e for t, e in state.entries.items() if not affected.isdisjoint(t)}
-        real(state, affected)
-        oracles[0].update(affected)
+        real(state, affected, changed)
+        oracles[0].update(affected, changed)
         assert not state.suspended
         assert snapshot(state) == snapshot(oracles[0])
         listed = [(v, t) for v, sets in enumerate(state.by_node) for t in sets]
@@ -190,6 +202,31 @@ def test_suspended_update_keeps_and_rebuilds_on_a_tree():
     assert kept > 0 and replaced > 0
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(g=small_graphs(), k_max=st.integers(2, 8), shortcut=st.sampled_from([0, 1, None]))
+@example(g=gen_er(10, 20, 2), k_max=8, shortcut=None)
+@example(g=gen_binary_tree(10), k_max=8, shortcut=1)
+@example(g=gen_ring_lattice(11, 4), k_max=8, shortcut=0)
+def test_changed_holds_every_node_whose_adjacency_changed(g, k_max, shortcut):
+    """The update skips the analysis of a suspended set with no member in
+    ``changed``, so every node whose in- or out-adjacency an extraction
+    changes must be in ``changed``, and ``changed`` in ``affected``."""
+    real = engine.extract_one
+    calls = []
+
+    def checked(graph, choice):
+        before = {v: (set(graph.in_adj[v]), set(graph.out_adj[v])) for v in graph.active}
+        record, affected, changed = real(graph, choice)
+        differ = {v for v, adj in before.items() if adj != (graph.in_adj[v], graph.out_adj[v])}
+        assert differ <= changed <= affected
+        calls.append(choice)
+        return record, affected, changed
+
+    with mock.patch.object(engine, "extract_one", checked):
+        res = engine.extract(g, ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut))
+    assert len(calls) == res.iterations
+
+
 def first_pairs(graph, nodes):
     """Each canonical code of a set's validated minimum-cost rules, built one
     per mask pair, mapped to the first mask pair that gives it."""
@@ -231,27 +268,33 @@ def test_registration_matches_rule_oracle(g, k_max, shortcut):
     record follows the first mask pair that gives its rule's code.  The
     affected nodes ``extract_one`` hands to the update are the record's
     node ids, the survivor's neighbours after the collapse and the edits'
-    externals."""
+    externals; the changed nodes are the record's node ids, the edits'
+    externals and every external tied to a member other than the
+    survivor before the extraction."""
     config = ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut)
     assert_registered_like_oracle(filled_index(g, config), g)
 
     real, real_extract = engine.update_after_extraction, engine.extract_one
     updates = []
 
-    def checked(state, affected):
-        out = real(state, affected)
+    def checked(state, affected, changed):
+        out = real(state, affected, changed)
         assert_registered_like_oracle(state, state.graph)
         updates.append(len(state.entries))
         return out
 
     def checked_extract(graph, choice):
         expected = expected_record(graph, choice)
-        record, affected = real_extract(graph, choice)
+        survivor = min(choice.nodes)
+        tied_elsewhere = {
+            x for v in choice.nodes if v != survivor for x in graph.neighbors(v)
+        } - set(choice.nodes)
+        record, affected, changed = real_extract(graph, choice)
         assert record == expected
-        assert affected == set(record.node_ids) | graph.neighbors(record.survivor) | {
-            e for _, e, _ in record.edits
-        }
-        return record, affected
+        externals = {e for _, e, _ in record.edits}
+        assert affected == set(record.node_ids) | graph.neighbors(record.survivor) | externals
+        assert changed == set(record.node_ids) | externals | tied_elsewhere
+        return record, affected, changed
 
     with (
         mock.patch.object(engine, "update_after_extraction", checked),
