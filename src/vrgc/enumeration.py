@@ -29,9 +29,15 @@ from typing import Iterator, Optional
 
 from .graphs import DiGraph
 from .mdl import analyze_set
-from .rules import K_HARD_MAX, RuleLibrary, canonical_code
+from .rules import K_HARD_MAX, RuleLibrary, canonical_code, canonical_form, relabel_mask
 
 INFINITE_COST = math.inf
+
+# Registration looks up the mask pairs of a set of at least this many nodes
+# on its fragment's canonical rows (see ``EnumState.register``).  A smaller
+# fragment reaches registration in few position orders, so its raw keys
+# already repeat and the extra shape lookup would cost more than it saves.
+SHAPE_MIN_K = 4
 
 
 class ConfigInvalid(Exception):
@@ -183,13 +189,21 @@ class EnumState:
         suspended set whose cost, adjacency rows and minimizing masks read
         the same gets its entry back too: its codes follow from those, so
         a kept entry is never looked up, interned, written or dirtied.  Any
-        other set is indexed afresh, its suspended entry removed first:
-        each minimum-cost mask pair is looked up by its raw ``(k, adj, i_mask,
-        o_mask)`` fields, the key ``rules.canonical_form`` caches under; it
-        validates nothing (see the ``rules`` module docstring).  The only
-        memo tables consulted here are the ``lru_cache``s of
-        ``rules.canonical_form`` and ``mdl._side_minima``, so clearing both
-        (as the benchmark does before each round) starts registration cold.
+        other set is indexed afresh, its suspended entry removed first,
+        and each minimum-cost mask pair is looked up through
+        ``rules.canonical_code``, which validates nothing (see the ``rules``
+        module docstring).  A set of fewer than ``SHAPE_MIN_K`` nodes looks
+        each pair up by its raw ``(k, adj, i_mask, o_mask)`` fields.  A
+        larger set first canonicalises its bare fragment, ``(k, adj, 0,
+        0)``, and looks each pair up on the canonical rows with its masks
+        moved onto the canonical positions.  One fragment shape reaches
+        registration in up to ``k!`` position orders, and this way they
+        share the pair lookups.  The codes are the same, in the same order,
+        since a canonical code is the same for every relabelling of a rule,
+        masks included.  The only memo tables consulted here are the
+        ``lru_cache``s of ``rules.canonical_form`` and
+        ``mdl._side_minima``, so clearing both (as the benchmark does
+        before each round) starts registration cold.
         """
         entry = self.suspended.pop(nodes, None)
         if entry is not None and self.changed.isdisjoint(nodes):
@@ -208,9 +222,13 @@ class EnumState:
             entry = None
         if entry is None:
             k = len(nodes)
-            codes = tuple(
-                dict.fromkeys(canonical_code(k, adj, i, o) for i in i_masks for o in o_masks)
-            )
+            rows, ins, outs = adj, i_masks, o_masks
+            if k >= SHAPE_MIN_K:
+                shape, perm = canonical_form(k, adj, 0, 0)
+                rows = tuple(shape[3:])
+                ins = [relabel_mask(i, perm) for i in i_masks]
+                outs = [relabel_mask(o, perm) for o in o_masks]
+            codes = tuple(dict.fromkeys(canonical_code(k, rows, i, o) for i in ins for o in outs))
             entry = SetEntry(cost, codes, adj, i_masks, o_masks)
             for code in codes:
                 self.library.intern_code(code)

@@ -12,16 +12,19 @@ A rule exists only as its code of ``k + 3`` bytes: ``k``, ``i_mask``,
 order.  ``check_codes`` rejects a code of any other length, a code of no
 valid fragment, and a code that is not the canonical code of its rule.
 
-Canonical codes are computed on the raw fields, ``(k, adj, i_mask,
-o_mask)``, and memoized in ``canonical_form``'s ``lru_cache`` under that
-tuple, so a repeated lookup allocates nothing.  A miss does not validate the
+Canonical codes are computed on the fields ``(k, adj, i_mask, o_mask)``
+and memoized in ``canonical_form``'s ``lru_cache`` under that tuple, so a
+repeated lookup allocates nothing.  Besides raw fields, the cache holds the
+keys registration makes for a fragment of four or more nodes: the bare
+fragment ``(k, adj, 0, 0)``, whose code gives the fragment's canonical
+rows, and each mask pair moved onto those rows.  A miss does not validate the
 fragment, because no caller can pass an invalid one: the enumeration
 registers only weakly connected sets of a graph with no self-loops;
 ``extract_one`` compares the code of the set it re-reads with the chosen
 one, and a stale set that came apart has disconnected rows, so its code
 equals no registered code and it raises ``StaleCandidate``; and
 ``check_codes`` validates each stored code before it canonicalises it.
-That cache is the only memo of canonicalization:
+That cache is still the only memo of canonicalization:
 ``canonical_form.cache_clear()``, which the benchmark calls before each
 round, starts it cold.
 """
@@ -114,11 +117,16 @@ def canonical_form(
         else:
             if not tied:
                 best_rows, best_perm = rows, perm
-    i_new = o_new = 0
-    for new, old in enumerate(best_perm):
-        i_new |= (i_mask >> old & 1) << new
-        o_new |= (o_mask >> old & 1) << new
+    i_new, o_new = relabel_mask(i_mask, best_perm), relabel_mask(o_mask, best_perm)
     return bytes((k, i_new, o_new, *best_rows)), best_perm
+
+
+def relabel_mask(mask: int, perm: tuple[int, ...]) -> int:
+    """``mask`` moved onto the positions of ``perm`` (``perm[new] = old``)."""
+    out = 0
+    for new, old in enumerate(perm):
+        out |= (mask >> old & 1) << new
+    return out
 
 
 def canonical_code(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> bytes:

@@ -79,18 +79,22 @@ def test_canonical_code_exhaustive(k):
         assert len(codes) == 1
 
 
-def test_canonical_code_sampled_k4():
-    rng = random.Random(4)
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_canonical_code_sampled(k):
+    """Relabelling a rule, masks included, keeps its code.  Registration
+    looks the mask pairs of a fragment of four or more nodes up on the
+    fragment's canonical rows, and this is what makes that exact."""
+    rng = random.Random(k)
     for _ in range(80):
-        adj = [0] * 4
-        for i in range(4):
-            for j in range(4):
+        adj = [0] * k
+        for i in range(k):
+            for j in range(k):
                 if i != j and rng.random() < 0.5:
                     adj[i] |= 1 << j
-        rule = (4, tuple(adj), rng.randrange(16), rng.randrange(16))
+        rule = (k, tuple(adj), rng.randrange(1 << k), rng.randrange(1 << k))
         if not is_valid(rule):
             continue
-        perm = tuple(rng.sample(range(4), 4))
+        perm = tuple(rng.sample(range(k), k))
         assert canonical_code(*rule) == canonical_code(*permute(rule, perm))
 
 

@@ -2,6 +2,7 @@
 registration, each checked against a full-recomputation oracle at every
 iteration of a real extraction on small random ER graphs."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import filled_index, naive_set_read
 from vrgc import engine
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
+from vrgc.graphs import DiGraph
 from vrgc.mdl import analyze_set, boundary_edits, default_params, pcr
 from vrgc.rules import canonical_code, canonical_form, check_codes
 from vrgc.synth import gen_binary_tree, gen_er, gen_ring_lattice
@@ -261,16 +263,34 @@ def expected_record(graph, choice):
     )
 
 
+def relabelled(graph, seed):
+    """``graph`` with its node ids shuffled by ``seed``."""
+    label = list(range(graph.n0))
+    random.Random(seed).shuffle(label)
+    return DiGraph.from_edges(graph.n0, ((label[u], label[v]) for u, v in graph.edges()))
+
+
 @settings(max_examples=40, deadline=None)
 @given(g=small_er, k_max=st.integers(2, 4), shortcut=st.sampled_from([1, None]))
+@example(g=relabelled(gen_ring_lattice(12, 4), 1), k_max=5, shortcut=None)
+@example(g=relabelled(gen_binary_tree(15), 2), k_max=5, shortcut=1)
+@example(g=relabelled(gen_ring_lattice(11, 4), 3), k_max=6, shortcut=1)
+@example(g=relabelled(gen_binary_tree(12), 4), k_max=6, shortcut=None)
+@example(g=relabelled(gen_ring_lattice(9, 4), 5), k_max=7, shortcut=None)
+@example(g=relabelled(gen_binary_tree(15), 2), k_max=7, shortcut=1)
+@example(g=relabelled(gen_ring_lattice(9, 4), 7), k_max=8, shortcut=1)
+@example(g=relabelled(gen_binary_tree(11), 6), k_max=8, shortcut=None)
 def test_registration_matches_rule_oracle(g, k_max, shortcut):
     """Registration matches the oracle after every extraction, and every
     record follows the first mask pair that gives its rule's code.  The
-    affected nodes ``extract_one`` hands to the update are the record's
-    node ids, the survivor's neighbours after the collapse and the edits'
-    externals; the changed nodes are the record's node ids, the edits'
-    externals and every external tied to a member other than the
-    survivor before the extraction."""
+    explicit examples are relabelled ring lattices and binary trees with
+    ``k_max`` 5 to 8, whose fragments of four or more nodes registration
+    looks up on their canonical rows.  The affected nodes ``extract_one``
+    hands to the update are the record's node ids, the survivor's
+    neighbours after the collapse and the edits' externals; the changed
+    nodes are the record's node ids, the edits' externals and every
+    external tied to a member other than the survivor before the
+    extraction."""
     config = ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut)
     assert_registered_like_oracle(filled_index(g, config), g)
 
