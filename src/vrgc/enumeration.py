@@ -17,8 +17,10 @@ suspended rather than dropped; the search restricted to the affected
 nodes then revisits them.  A set's analysis is a function of its members'
 adjacency alone, so a suspended set holding none of the nodes whose
 adjacency the extraction changed gets its entry back without being read
-again; any other set is analysed, and its entry is kept, not rebuilt, if
-the set reads the same as before.
+again; any other set is analysed and indexed afresh.  Its codes are a
+function of its reading, the fragment's adjacency rows and each side's
+minimizing masks, so each index keeps a ``reading -> codes`` table and
+canonicalises each reading once.
 """
 
 from __future__ import annotations
@@ -32,12 +34,6 @@ from .mdl import analyze_set
 from .rules import K_HARD_MAX, RuleLibrary, canonical_code, canonical_form, relabel_mask
 
 INFINITE_COST = math.inf
-
-# Registration looks up the mask pairs of a set of at least this many nodes
-# on its fragment's canonical rows (see ``EnumState.register``).  A smaller
-# fragment reaches registration in few position orders, so its raw keys
-# already repeat and the extra shape lookup would cost more than it saves.
-SHAPE_MIN_K = 4
 
 
 class ConfigInvalid(Exception):
@@ -132,14 +128,10 @@ def enumerate_connected_sets(
 @dataclass(slots=True)
 class SetEntry:
     """An indexed set's minimum edit cost and minimum-cost rule codes,
-    first seen first, and what they are a function of: the fragment's
-    adjacency rows and each side's minimizing masks (``mdl.SetAnalysis``)."""
+    first seen first."""
 
     cost: int
     codes: tuple[bytes, ...]
-    adj: tuple[int, ...]
-    i_masks: tuple[int, ...]
-    o_masks: tuple[int, ...]
 
 
 class EnumState:
@@ -159,7 +151,8 @@ class EnumState:
     counts, so ``c_best`` ignores them, but still in ``tables``, which
     nothing reads until the update ends.  ``changed`` holds the nodes whose
     adjacency the extraction changed, from ``remove_touching`` until
-    ``drop_suspended``.
+    ``drop_suspended``.  ``codes_of`` maps each reading ``(adj, i_masks,
+    o_masks)`` that registration has canonicalised to its codes.
     """
 
     def __init__(self, graph: DiGraph, config: ExtractConfig):
@@ -169,6 +162,7 @@ class EnumState:
         self.entries: dict[tuple[int, ...], SetEntry] = {}
         self.suspended: dict[tuple[int, ...], SetEntry] = {}
         self.changed: set[int] = set()
+        self.codes_of: dict[tuple, tuple[bytes, ...]] = {}
         self.by_node: list[list[tuple[int, ...]]] = [[] for _ in range(graph.n0)]
         self.tables: dict[bytes, dict[int, set[tuple[int, ...]]]] = {}
         self._cost_counts: dict[int, int] = {}
@@ -185,56 +179,49 @@ class EnumState:
 
         A suspended set with no member in ``changed`` gets its entry back
         at once: its members' adjacency, and so its analysis, is as it was.
-        Any other set is read out of the graph once by ``analyze_set``.  A
-        suspended set whose cost, adjacency rows and minimizing masks read
-        the same gets its entry back too: its codes follow from those, so
-        a kept entry is never looked up, interned, written or dirtied.  Any
-        other set is indexed afresh, its suspended entry removed first,
-        and each minimum-cost mask pair is looked up through
-        ``rules.canonical_code``, which validates nothing (see the ``rules``
-        module docstring).  A set of fewer than ``SHAPE_MIN_K`` nodes looks
-        each pair up by its raw ``(k, adj, i_mask, o_mask)`` fields.  A
-        larger set first canonicalises its bare fragment, ``(k, adj, 0,
-        0)``, and looks each pair up on the canonical rows with its masks
-        moved onto the canonical positions.  One fragment shape reaches
-        registration in up to ``k!`` position orders, and this way they
-        share the pair lookups.  The codes are the same, in the same order,
-        since a canonical code is the same for every relabelling of a rule,
-        masks included.  The only memo tables consulted here are the
-        ``lru_cache``s of ``rules.canonical_form`` and
-        ``mdl._side_minima``, so clearing both (as the benchmark does
-        before each round) starts registration cold.
+        Any other set loses its suspended entry, if it has one, is read out
+        of the graph once by ``analyze_set`` and is indexed afresh, with the
+        codes ``codes_of`` holds for its reading.  On a miss the bare
+        fragment ``(k, adj, 0, 0)`` is canonicalised once, and each
+        minimum-cost mask pair, moved onto the canonical positions, is
+        looked up with ``rules.canonical_code`` on the canonical rows; the
+        codes are interned.  The up to ``k!`` position orders of one shape
+        so share the pair lookups, and the codes are those of the raw
+        fields, in the same order, since a canonical code is the same for
+        every relabelling of a rule, masks included.  Nothing is validated
+        (see the ``rules`` module docstring).  ``codes_of`` lives as long as
+        the index, so clearing the ``lru_cache``s of
+        ``rules.canonical_form`` and ``mdl._side_minima`` (as the benchmark
+        does before each round) starts each extraction's registration cold.
         """
         entry = self.suspended.pop(nodes, None)
-        if entry is not None and self.changed.isdisjoint(nodes):
-            cost = entry.cost
-            self.entries[nodes] = entry
-            self._cost_counts[cost] = self._cost_counts.get(cost, 0) + 1
-            return cost
-        analysis = analyze_set(self.graph, nodes)
-        cost, adj = analysis.cost, analysis.adj
-        i_masks, o_masks = analysis.i_masks, analysis.o_masks
         if entry is None:
             for v in nodes:
                 self.by_node[v].append(nodes)
-        elif (entry.cost, entry.adj, entry.i_masks, entry.o_masks) != (cost, adj, i_masks, o_masks):
+        elif self.changed.isdisjoint(nodes):
+            self.entries[nodes] = entry
+            self._cost_counts[entry.cost] = self._cost_counts.get(entry.cost, 0) + 1
+            return entry.cost
+        else:
             self.remove_set(nodes, entry)
-            entry = None
-        if entry is None:
+        analysis = analyze_set(self.graph, nodes)
+        cost, adj = analysis.cost, analysis.adj
+        reading = (adj, analysis.i_masks, analysis.o_masks)
+        codes = self.codes_of.get(reading)
+        if codes is None:
             k = len(nodes)
-            rows, ins, outs = adj, i_masks, o_masks
-            if k >= SHAPE_MIN_K:
-                shape, perm = canonical_form(k, adj, 0, 0)
-                rows = tuple(shape[3:])
-                ins = [relabel_mask(i, perm) for i in i_masks]
-                outs = [relabel_mask(o, perm) for o in o_masks]
+            shape, perm = canonical_form(k, adj, 0, 0)
+            rows = tuple(shape[3:])
+            ins = [relabel_mask(i, perm) for i in analysis.i_masks]
+            outs = [relabel_mask(o, perm) for o in analysis.o_masks]
             codes = tuple(dict.fromkeys(canonical_code(k, rows, i, o) for i in ins for o in outs))
-            entry = SetEntry(cost, codes, adj, i_masks, o_masks)
+            self.codes_of[reading] = codes
             for code in codes:
                 self.library.intern_code(code)
-                self.tables.setdefault(code, {}).setdefault(cost, set()).add(nodes)
-            self.dirty.update(codes)
-        self.entries[nodes] = entry
+        for code in codes:
+            self.tables.setdefault(code, {}).setdefault(cost, set()).add(nodes)
+        self.dirty.update(codes)
+        self.entries[nodes] = SetEntry(cost, codes)
         self._cost_counts[cost] = self._cost_counts.get(cost, 0) + 1
         return cost
 
@@ -290,7 +277,8 @@ def update_after_extraction(state: EnumState, affected: set[int], changed: set[i
     the extracted set and every node adjacent to it before the edits, a
     superset of ``changed``, the nodes whose adjacency the extraction
     changed.  A re-enumerated set with no member in ``changed`` gets its
-    suspended entry back without being analysed.  The index ends as
+    suspended entry back without being analysed; any other is indexed
+    afresh, its codes looked up in ``state.codes_of``.  The index ends as
     dropping the suspended entries at once and registering every
     re-enumerated set afresh would leave it, with ``c_best`` the same at
     every step, so the pruning is the same."""

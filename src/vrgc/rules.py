@@ -14,19 +14,19 @@ valid fragment, and a code that is not the canonical code of its rule.
 
 Canonical codes are computed on the fields ``(k, adj, i_mask, o_mask)``
 and memoized in ``canonical_form``'s ``lru_cache`` under that tuple, so a
-repeated lookup allocates nothing.  Besides raw fields, the cache holds the
-keys registration makes for a fragment of four or more nodes: the bare
+repeated lookup allocates nothing.  Registration keys it by shape: the bare
 fragment ``(k, adj, 0, 0)``, whose code gives the fragment's canonical
-rows, and each mask pair moved onto those rows.  A miss does not validate the
-fragment, because no caller can pass an invalid one: the enumeration
-registers only weakly connected sets of a graph with no self-loops;
-``extract_one`` compares the code of the set it re-reads with the chosen
-one, and a stale set that came apart has disconnected rows, so its code
-equals no registered code and it raises ``StaleCandidate``; and
+rows, and each mask pair moved onto those rows; each index keeps which
+codes a reading gave (``enumeration.EnumState.codes_of``).  A miss does not
+validate the fragment, because no caller can pass an invalid one: the
+enumeration registers only weakly connected sets of a graph with no
+self-loops; ``extract_one`` compares the code of the set it re-reads with
+the chosen one, and a stale set that came apart has disconnected rows, so
+its code equals no registered code and it raises ``StaleCandidate``; and
 ``check_codes`` validates each stored code before it canonicalises it.
-That cache is still the only memo of canonicalization:
-``canonical_form.cache_clear()``, which the benchmark calls before each
-round, starts it cold.
+That cache is the only memo of canonicalization that outlives an
+extraction: ``canonical_form.cache_clear()``, which the benchmark calls
+before each round, starts it cold.
 """
 
 from __future__ import annotations

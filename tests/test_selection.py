@@ -143,7 +143,9 @@ def check_against_drop_all(g, config):
     the real index, and compare the two after every extraction; the real
     index's ``by_node`` lists must hold each indexed set once under each of
     its nodes.  Returns how many suspended entries the real update kept
-    and how many it rebuilt."""
+    and how many it rebuilt: a kept entry is one of a set with no member
+    in ``changed``, which gets its entry back without analysis; every
+    other re-enumerated set is analysed and gets a new entry."""
     oracles = []
     kept = replaced = 0
 
@@ -189,15 +191,20 @@ def test_suspended_update_matches_drop_all(g, k_max, shortcut):
     """After every extraction, with the shortcut on or off, the index the
     suspending update leaves equals the one dropping every touched entry
     and registering afresh leaves: entries, their costs and codes, the
-    tables, the cheapest cost and the library's codes in order.  In the
-    explicit example a suspended set comes back with its cost and masks
-    but other adjacency rows, so its entry must be rebuilt."""
+    tables, the cheapest cost and the library's codes in order.  Only a
+    suspended set with no changed member keeps its entry; any other is
+    analysed and indexed afresh.  In the explicit example a suspended set
+    with a changed member comes back with its cost and masks but other
+    adjacency rows, so codes looked up by its masks alone would be
+    stale."""
     check_against_drop_all(g, ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut))
 
 
 def test_suspended_update_keeps_and_rebuilds_on_a_tree():
     """On a 127-node binary tree at k 2..5 with the shortcut on, the update
-    both keeps and rebuilds suspended entries, and matches the oracle."""
+    both keeps suspended entries (sets with no changed member, not
+    analysed) and rebuilds them (sets with a changed member, analysed and
+    indexed afresh), and matches the oracle."""
     kept, replaced = check_against_drop_all(
         gen_binary_tree(127), ExtractConfig(k_min=2, k_max=5, shortcut_s=1)
     )
@@ -272,6 +279,8 @@ def relabelled(graph, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(g=small_er, k_max=st.integers(2, 4), shortcut=st.sampled_from([1, None]))
+@example(g=relabelled(gen_er(12, 30, 1), 8), k_max=2, shortcut=1)
+@example(g=relabelled(gen_binary_tree(15), 9), k_max=3, shortcut=None)
 @example(g=relabelled(gen_ring_lattice(12, 4), 1), k_max=5, shortcut=None)
 @example(g=relabelled(gen_binary_tree(15), 2), k_max=5, shortcut=1)
 @example(g=relabelled(gen_ring_lattice(11, 4), 3), k_max=6, shortcut=1)
@@ -283,9 +292,9 @@ def relabelled(graph, seed):
 def test_registration_matches_rule_oracle(g, k_max, shortcut):
     """Registration matches the oracle after every extraction, and every
     record follows the first mask pair that gives its rule's code.  The
-    explicit examples are relabelled ring lattices and binary trees with
-    ``k_max`` 5 to 8, whose fragments of four or more nodes registration
-    looks up on their canonical rows.  The affected nodes ``extract_one``
+    explicit examples are a relabelled uniform graph, ring lattices and
+    binary trees with ``k_max`` 2 to 8, whose fragments of every size
+    registration looks up on their canonical rows.  The affected nodes ``extract_one``
     hands to the update are the record's node ids, the survivor's
     neighbours after the collapse and the edits' externals; the changed
     nodes are the record's node ids, the edits' externals and every
