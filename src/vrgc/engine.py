@@ -2,8 +2,9 @@
 
 Each iteration picks the rule with the highest predicted nodes-per-bit
 ratio, extracts one cheapest occurrence of it (edge edits first, then
-collapse to the smallest member id), and incrementally refreshes the
-occurrence index around the nodes the extraction disturbed.  Selection is
+collapse to the smallest member id), and refreshes the occurrence index
+by revisiting only the sets that hold a node whose adjacency the
+extraction changed.  Selection is
 incremental as well: only the rule codes whose occurrences changed since
 the previous iteration are rescored, and the best score is read from a
 lazily invalidated heap.  The records written along the way replay in
@@ -158,20 +159,18 @@ def select_best(state: EnumState) -> Optional[Choice]:
     return Choice(best.rid, best.code, nodes, best.cost)
 
 
-def extract_one(
-    graph: DiGraph, choice: Choice
-) -> tuple[ApplicationRecord, set[int], set[int]]:
+def extract_one(graph: DiGraph, choice: Choice) -> tuple[ApplicationRecord, set[int]]:
     """Build the chosen occurrence's replay record, then apply it in
     place: toggle its edits and collapse its nodes.  The record follows the
     first minimum-cost mask pair with the chosen code, as registration saw
     it; ``StaleCandidate``, before any edit, if no pair at that cost has it.
 
-    Returns the record, the affected nodes (the set and every node adjacent
-    to it before the edits) and, among them, the nodes whose adjacency may
-    have changed: the set, every edit's external, and every external with
-    a pattern bit other than position 0.  Position 0 is the survivor, since
-    ``nodes`` is sorted, so an external tied only to it and named by no
-    edit keeps its adjacency through ``collapse``."""
+    Returns the record and the nodes whose adjacency may have changed: the
+    set, every edit's external, and every external with a pattern bit
+    other than position 0.  Position 0 is the survivor, since ``nodes`` is
+    sorted, so an external tied only to it and named by no edit keeps its
+    adjacency through ``collapse``.  The index update revisits exactly the
+    sets that hold one of these nodes."""
     nodes = choice.nodes
     analysis = analyze_set(graph, nodes)
     pairs = product(analysis.i_masks, analysis.o_masks) if analysis.cost == choice.cost else ()
@@ -193,7 +192,14 @@ def extract_one(
     changed = {*nodes, *(external for _, external, _ in edits)}
     for pats in (analysis.in_pats, analysis.out_pats):
         changed.update(x for x, pat in pats.items() if pat > 1)
-    return record, {*nodes, *analysis.in_pats, *analysis.out_pats}, changed
+    return record, changed
+
+
+def incident_edges(graph: DiGraph, nodes: tuple[int, ...]) -> int:
+    """The number of edges with at least one endpoint in ``nodes``."""
+    return sum(
+        len(graph.out_adj[v]) + sum(u not in nodes for u in graph.in_adj[v]) for v in nodes
+    )
 
 
 def _toggle_edits(graph: DiGraph, record: ApplicationRecord) -> None:
@@ -220,17 +226,21 @@ def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
     for _ in enumerate_connected_sets(state):
         pass
     records: list[ApplicationRecord] = []
-    original_bits = b_graph(g.num_nodes(), g.num_edges())
-    # With ``mdl_stop``, residual_bits[p] is the residual's size after the
-    # first p records.
+    edges = g.num_edges()
+    original_bits = b_graph(g.num_nodes(), edges)
+    # residual_bits[p] is the residual's size after the first p records;
+    # ``mdl_stop`` reads it.  ``edges`` follows the residual's edge count:
+    # the edits only touch edges with an endpoint in the set, and the
+    # collapse replaces all of those by the survivor's.
     residual_bits = [original_bits]
     while (choice := select_best(state)) is not None:
-        record, affected, changed = extract_one(g, choice)
-        if config.mdl_stop:
-            residual_bits.append(b_graph(g.num_nodes(), g.num_edges()))
+        edges -= incident_edges(g, choice.nodes)
+        record, changed = extract_one(g, choice)
+        edges += incident_edges(g, (record.survivor,))
+        residual_bits.append(b_graph(g.num_nodes(), edges))
         library.record_extraction(choice.rule_id)
         records.append(record)
-        update_after_extraction(state, affected, changed)
+        update_after_extraction(state, changed)
     if config.mdl_stop:
         # Keep the shortest prefix with the fewest bits; undo the rest.
         written = accumulate(map(sum, record_bits(records, library.codes, n0)), initial=0)

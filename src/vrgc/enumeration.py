@@ -11,16 +11,14 @@ removes what it added before it returns.  The search fills an
 of a set that scores too far above the index's cheapest occurrence via
 the shortcut inequality.
 
-After each extraction the index touches only what changed: a ``node ->
-sets`` index finds the entries holding an affected node, which are
-suspended rather than dropped; the search restricted to the affected
-nodes then revisits them.  A set's analysis is a function of its members'
-adjacency alone, so a suspended set holding none of the nodes whose
-adjacency the extraction changed gets its entry back without being read
-again; any other set is analysed and indexed afresh.  Its codes are a
-function of its reading, the fragment's adjacency rows and each side's
-minimizing masks, so each index keeps a ``reading -> codes`` table and
-canonicalises each reading once.
+After each extraction the index revisits only what changed.  A set's
+analysis and its weak connectivity are functions of its members'
+adjacency alone, so the update drops every entry holding a node whose
+adjacency the extraction changed (a ``node -> sets`` index finds them)
+and re-enumerates the sets that hold such a node; every other entry
+stays as it is.  A set's codes are a function of its reading, the
+fragment's adjacency rows and each side's minimizing masks, so each index
+keeps a ``reading -> codes`` table and canonicalises each reading once.
 """
 
 from __future__ import annotations
@@ -143,16 +141,10 @@ class EnumState:
     cost; the cheapest registered cost is tracked for the shortcut bound.
     ``dirty`` collects the codes whose tables changed since rule selection
     last read them; ``keys`` and ``heap`` hold the selection's scores and
-    belong to ``engine.select_best``.
-
-    ``by_node[v]`` lists the sets in ``entries`` or ``suspended`` that hold
-    ``v``, each once.  During an update, ``suspended`` holds the entries
-    that touch an affected node: they are out of ``entries`` and the cost
-    counts, so ``c_best`` ignores them, but still in ``tables``, which
-    nothing reads until the update ends.  ``changed`` holds the nodes whose
-    adjacency the extraction changed, from ``remove_touching`` until
-    ``drop_suspended``.  ``codes_of`` maps each reading ``(adj, i_masks,
-    o_masks)`` that registration has canonicalised to its codes.
+    belong to ``engine.select_best``.  ``by_node[v]`` lists the sets in
+    ``entries`` that hold ``v``, each once.  ``codes_of`` maps each reading
+    ``(adj, i_masks, o_masks)`` that registration has canonicalised to its
+    codes.
     """
 
     def __init__(self, graph: DiGraph, config: ExtractConfig):
@@ -160,8 +152,6 @@ class EnumState:
         self.config = config
         self.library = RuleLibrary()
         self.entries: dict[tuple[int, ...], SetEntry] = {}
-        self.suspended: dict[tuple[int, ...], SetEntry] = {}
-        self.changed: set[int] = set()
         self.codes_of: dict[tuple, tuple[bytes, ...]] = {}
         self.by_node: list[list[tuple[int, ...]]] = [[] for _ in range(graph.n0)]
         self.tables: dict[bytes, dict[int, set[tuple[int, ...]]]] = {}
@@ -177,33 +167,23 @@ class EnumState:
         """Score a node set not in ``entries``, index it and return its
         cost; ``enumerate_connected_sets`` calls it on every set it emits.
 
-        A suspended set with no member in ``changed`` gets its entry back
-        at once: its members' adjacency, and so its analysis, is as it was.
-        Any other set loses its suspended entry, if it has one, is read out
-        of the graph once by ``analyze_set`` and is indexed afresh, with the
-        codes ``codes_of`` holds for its reading.  On a miss the bare
-        fragment ``(k, adj, 0, 0)`` is canonicalised once, and each
-        minimum-cost mask pair, moved onto the canonical positions, is
-        looked up with ``rules.canonical_code`` on the canonical rows; the
-        codes are interned.  The up to ``k!`` position orders of one shape
-        so share the pair lookups, and the codes are those of the raw
-        fields, in the same order, since a canonical code is the same for
-        every relabelling of a rule, masks included.  Nothing is validated
-        (see the ``rules`` module docstring).  ``codes_of`` lives as long as
-        the index, so clearing the ``lru_cache``s of
-        ``rules.canonical_form`` and ``mdl._side_minima`` (as the benchmark
-        does before each round) starts each extraction's registration cold.
+        The set is read out of the graph once by ``analyze_set`` and
+        indexed with the codes ``codes_of`` holds for its reading.  On a
+        miss the bare fragment ``(k, adj, 0, 0)`` is canonicalised once,
+        and each minimum-cost mask pair, moved onto the canonical
+        positions, is looked up with ``rules.canonical_code`` on the
+        canonical rows; the codes are interned.  The up to ``k!`` position
+        orders of one shape so share the pair lookups, and the codes are
+        those of the raw fields, in the same order, since a canonical code
+        is the same for every relabelling of a rule, masks included.
+        Nothing is validated (see the ``rules`` module docstring).
+        ``codes_of`` lives as long as the index, so clearing the
+        ``lru_cache``s of ``rules.canonical_form`` and
+        ``mdl._side_minima`` (as the benchmark does before each round)
+        starts each extraction's registration cold.
         """
-        entry = self.suspended.pop(nodes, None)
-        if entry is None:
-            for v in nodes:
-                self.by_node[v].append(nodes)
-        elif self.changed.isdisjoint(nodes):
-            self.entries[nodes] = entry
-            self._cost_counts[entry.cost] = self._cost_counts.get(entry.cost, 0) + 1
-            return entry.cost
-        else:
-            self.remove_set(nodes, entry)
+        for v in nodes:
+            self.by_node[v].append(nodes)
         analysis = analyze_set(self.graph, nodes)
         cost, adj = analysis.cost, analysis.adj
         reading = (adj, analysis.i_masks, analysis.o_masks)
@@ -225,64 +205,44 @@ class EnumState:
         self._cost_counts[cost] = self._cost_counts.get(cost, 0) + 1
         return cost
 
-    def remove_set(self, nodes: tuple[int, ...], entry: SetEntry) -> None:
-        """Take a suspended set's entry out of the tables."""
-        for code in entry.codes:
-            levels = self.tables[code]
-            levels[entry.cost].discard(nodes)
-            if not levels[entry.cost]:
-                del levels[entry.cost]
-            if not levels:
-                del self.tables[code]
-        self.dirty.update(entry.codes)
-
-    def remove_touching(self, nodes: set[int], changed: set[int]) -> None:
-        """Suspend every entry that holds one of ``nodes``: move it from
-        ``entries`` to ``suspended`` and take its cost out of the counts.
-        ``changed``, the nodes among them whose adjacency changed, is kept
-        for ``register`` until ``drop_suspended``."""
-        self.changed = changed
-        entries, suspended, counts = self.entries, self.suspended, self._cost_counts
-        for v in nodes:
-            for t in self.by_node[v]:
-                entry = entries.pop(t, None)
-                if entry is not None:
-                    suspended[t] = entry
-                    count = counts[entry.cost] - 1
-                    if count:
-                        counts[entry.cost] = count
-                    else:
-                        del counts[entry.cost]
-
-    def drop_suspended(self) -> None:
-        """Remove the suspended entries, take their sets out of
-        ``by_node``, and clear ``changed``."""
+    def remove_touching(self, changed: set[int]) -> None:
+        """Take every entry that holds a node of ``changed`` out of
+        ``entries``, the cost counts, ``tables`` (its codes marked dirty)
+        and ``by_node``."""
+        entries, counts, tables, by_node = self.entries, self._cost_counts, self.tables, self.by_node
         members = set()
-        for nodes, entry in self.suspended.items():
-            self.remove_set(nodes, entry)
-            members.update(nodes)
-        self.suspended.clear()
-        self.changed = set()
-        entries = self.entries
+        for v in changed:
+            for t in by_node[v]:
+                entry = entries.pop(t, None)
+                if entry is None:
+                    continue
+                members.update(t)
+                count = counts[entry.cost] - 1
+                if count:
+                    counts[entry.cost] = count
+                else:
+                    del counts[entry.cost]
+                for code in entry.codes:
+                    levels = tables[code]
+                    levels[entry.cost].discard(t)
+                    if not levels[entry.cost]:
+                        del levels[entry.cost]
+                    if not levels:
+                        del tables[code]
+                self.dirty.update(entry.codes)
         for v in members:
-            self.by_node[v] = [t for t in self.by_node[v] if t in entries]
+            by_node[v] = [t for t in by_node[v] if t in entries]
 
 
-def update_after_extraction(state: EnumState, affected: set[int], changed: set[int]) -> None:
+def update_after_extraction(state: EnumState, changed: set[int]) -> None:
     """Refresh the index once an extraction has been applied to
-    ``state.graph``: suspend every occurrence touching an ``affected``
-    node, re-enumerate the sets that contain a live one, and remove the
-    suspended entries the re-enumeration did not reach.  ``affected`` and
-    ``changed`` are what ``engine.extract_one`` returns: ``affected`` is
-    the extracted set and every node adjacent to it before the edits, a
-    superset of ``changed``, the nodes whose adjacency the extraction
-    changed.  A re-enumerated set with no member in ``changed`` gets its
-    suspended entry back without being analysed; any other is indexed
-    afresh, its codes looked up in ``state.codes_of``.  The index ends as
-    dropping the suspended entries at once and registering every
-    re-enumerated set afresh would leave it, with ``c_best`` the same at
-    every step, so the pruning is the same."""
-    state.remove_touching(affected, changed)
-    for _ in enumerate_connected_sets(state, affected):
+    ``state.graph``: drop every entry that holds a node of ``changed``
+    and register afresh every set the search from those nodes reaches.
+    ``changed`` is what ``engine.extract_one`` returns, every node whose
+    adjacency the extraction changed.  A set holding none of them has the
+    same members' adjacency, so the same analysis and connectivity, and
+    keeps its entry; with the shortcut off the index therefore ends as a
+    full rebuild on the mutated graph would leave it."""
+    state.remove_touching(changed)
+    for _ in enumerate_connected_sets(state, changed):
         pass
-    state.drop_suspended()

@@ -115,12 +115,17 @@ def gen_er(n_nodes: int, n_edges: int, seed: int) -> DiGraph:
 
 def gen_chung_lu_directed(out_degrees: list[int], in_degrees: list[int], seed: int) -> DiGraph:
     """Each pair (u, v) included independently with probability
-    min(1, out_u * in_v / m) where m is the total degree mass."""
+    min(1, out_u * in_v / m) where m is the total degree mass.  All-zero
+    sequences are a valid model: its graph has no edges."""
+    if not out_degrees:
+        raise ParamInvalid("need at least one node")
     if len(out_degrees) != len(in_degrees):
         raise ParamInvalid("degree sequences must have equal length")
+    if min(out_degrees) < 0 or min(in_degrees) < 0:
+        raise ParamInvalid("degrees must be non-negative")
     m = sum(out_degrees)
-    if m <= 0 or m != sum(in_degrees):
-        raise ParamInvalid("degree sequences must share a positive total")
+    if m != sum(in_degrees):
+        raise ParamInvalid("degree sequences must share a total")
     rng = seed_stream(seed, "chunglu")
     n = len(out_degrees)
     g = DiGraph(n)

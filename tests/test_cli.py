@@ -384,3 +384,13 @@ def test_compare_with_nothing_extracted(tmp_path, capsys):
     assert report["rules"] == []
     assert set(report["kl"]) == {"er", "chunglu"}
     assert "kl[er]" in capsys.readouterr().out
+
+
+def test_compare_on_a_graph_with_no_edges(tmp_path):
+    """The Chung-Lu null of an edgeless graph has an all-zero degree
+    sequence, a valid model whose graph has no edges."""
+    out = tmp_path / "cmp"
+    argv = ["compare", "--generator", "er", "--nodes", "5", "--edges", "0", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads((out / "compare.json").read_text())
+    assert report["rules"] == []

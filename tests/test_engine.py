@@ -188,6 +188,50 @@ def test_mdl_stop_keeps_cheapest_prefix(graph):
     assert sum(stopped.grammar.frequency) == count
 
 
+def test_mdl_stop_counts_edges_once(monkeypatch):
+    """``extract`` follows the residual's edge count through the
+    extractions instead of summing every adjacency set after each one, so
+    ``DiGraph.num_edges`` is called as often on a short extraction as on
+    a long one."""
+    real = DiGraph.num_edges
+    count = 0
+
+    def counted(graph):
+        nonlocal count
+        count += 1
+        return real(graph)
+
+    monkeypatch.setattr(DiGraph, "num_edges", counted)
+    calls = []
+    for graph in (gen_binary_tree(31), gen_binary_tree(127)):
+        count = 0
+        result = extract(graph, ExtractConfig(k_min=2, k_max=3, shortcut_s=1, mdl_stop=True))
+        calls.append((count, result.iterations))
+    (short_calls, short_iterations), (long_calls, long_iterations) = calls
+    assert short_iterations < long_iterations
+    assert short_calls == long_calls
+
+
+@pytest.mark.parametrize("graph", [gen_er(60, 180, 1), gen_er(40, 160, 2)])
+def test_incident_edges_track_the_residual(graph):
+    """Each extraction removes the edges incident to its set, as they stand
+    before the edits, and adds the survivor's: the edits only toggle edges
+    with an endpoint in the set, which the collapse replaces anyway."""
+    real = engine.extract_one
+    steps = []
+
+    def checked(g, choice):
+        before = g.num_edges() - engine.incident_edges(g, choice.nodes)
+        record, changed = real(g, choice)
+        assert g.num_edges() == before + engine.incident_edges(g, (record.survivor,))
+        steps.append(record)
+        return record, changed
+
+    with mock.patch.object(engine, "extract_one", checked):
+        extract(graph, ExtractConfig(k_min=2, k_max=3, shortcut_s=1))
+    assert any(record.edits for record in steps)
+
+
 def test_extraction_independent_of_hash_seed():
     """The dirty-code set iterates in hash order; the output must not."""
     script = (

@@ -115,14 +115,12 @@ def test_pruning_only_drops_supersets(demo6):
 
 
 def test_state_bookkeeping(demo6):
-    """Collapsing d and f affects b, c, d, e and f, and changes the
-    adjacency of d and f alone: b, c and e are tied only to d, the
-    survivor.  The affected entries are suspended: out of ``entries`` and
-    the cost counts, so ``c_best`` ignores them, but still in the tables.
-    The re-enumeration gives ``(0, 1)`` and ``(1, 2)``, which hold no
-    changed node, their entries back without analysing them, analyses the
-    sets that hold d, and the end of the update drops the set it never
-    reaches, ``(3, 5)``."""
+    """Collapsing d and f changes the adjacency of d and f alone: b, c and
+    e are tied only to d, the survivor.  ``remove_touching`` takes the
+    entries holding d or f out of ``entries``, the cost counts, the tables
+    and ``by_node``, and marks their codes dirty; ``(0, 1)`` and ``(1, 2)``
+    stay as they were.  The search from d and f analyses the sets that
+    hold d, and the index ends as a fresh one on the collapsed graph."""
     cfg = ExtractConfig(k_min=2, k_max=2, shortcut_s=None)
     state = filled_index(demo6, cfg)
     assert len(state.entries) == 6
@@ -131,15 +129,18 @@ def test_state_bookkeeping(demo6):
     assert costs == [0, 0, 0, 0, 1, 2]
     before = dict(state.entries)
     demo6.collapse({3, 5})
-    affected, changed = {1, 2, 3, 4, 5}, {3, 5}
-    state.remove_touching(affected, changed)
-    assert state.changed == changed
-    assert not state.entries
-    assert state.suspended == before
-    assert state.c_best() == math.inf
-    assert {t for levels in state.tables.values() for sets in levels.values() for t in sets} == set(
-        before
-    )
+    changed = {3, 5}
+    state.dirty.clear()
+    state.remove_touching(changed)
+    kept = {(0, 1), (1, 2)}
+    assert state.entries == {t: before[t] for t in kept}
+    assert all(state.entries[t] is before[t] for t in kept)
+    assert state.c_best() == min(before[t].cost for t in kept)
+    assert {t for levels in state.tables.values() for sets in levels.values() for t in sets} == kept
+    assert state.dirty == {code for t in before if t not in kept for code in before[t].codes}
+    assert [sorted(sets) for sets in state.by_node] == [
+        [(0, 1)], [(0, 1), (1, 2)], [(1, 2)], [], [], []
+    ]
     analysed = []
 
     def recording(graph, nodes):
@@ -147,14 +148,10 @@ def test_state_bookkeeping(demo6):
         return analyze_set(graph, nodes)
 
     with mock.patch.object(enumeration, "analyze_set", recording):
-        for _ in enumerate_connected_sets(state, affected):
+        for _ in enumerate_connected_sets(state, changed):
             pass
     assert sorted(analysed) == [(1, 3), (2, 3), (3, 4)]
-    assert set(state.suspended) == {(3, 5)}
-    assert {t for t, e in state.entries.items() if e is before[t]} == {(0, 1), (1, 2)}
-    state.drop_suspended()
-    assert not state.suspended
-    assert not state.changed
+    assert all(state.entries[t] is before[t] for t in kept)
     fresh = filled_index(demo6, cfg)
     assert state.tables == fresh.tables
     assert {t: (e.cost, e.codes) for t, e in state.entries.items()} == {
@@ -177,9 +174,9 @@ def test_incremental_update_matches_scratch(demo6):
     for g in (demo6, gen_er(10, 20, 1)):
         state = filled_index(g, cfg)
         while (choice := select_best(state)) is not None:
-            _, affected, changed = extract_one(g, choice)
+            _, changed = extract_one(g, choice)
             state.library.record_extraction(choice.rule_id)
-            update_after_extraction(state, affected, changed)
+            update_after_extraction(state, changed)
             fresh = filled_index(g, cfg)
             assert {t: e.cost for t, e in state.entries.items()} == {
                 t: e.cost for t, e in fresh.entries.items()

@@ -69,8 +69,8 @@ CASES = {
     "er_60_180_k3": (
         lambda: gen_er(60, 180, 1),
         ExtractConfig(k_min=2, k_max=3, shortcut_s=1),
-        "6d058a61c587bba33ae3b2e88021ae38366b77a884c40d265d9eaa60ca6ebf03",
-        "eec5160876020c256678f628bb045d075fb0966a33da4ca9e9b7fe7887e1f0f6",
+        "47910991057d9cc7cd95199288f119ade32ff65d03d77afc670927f12d403cf0",
+        "f16301907febb8510d1169299e5e7bcc95d62e342d9efcfee66ad7170554e102",
     ),
     "er_60_180_k3_mdl_stop": (
         lambda: gen_er(60, 180, 1),
@@ -87,8 +87,8 @@ CASES = {
     "tree_of_rings_200_k4_s0": (
         lambda: gen_tree_of_rings(3, 15, 200),
         ExtractConfig(k_min=2, k_max=4, shortcut_s=0),
-        "2596b7df4abf6aef3c1b4c6c9ba5fd72057ae484c86a2e6fd34f5a840eccff05",
-        "c1ccab24e9a09bf0833d56570feddbbc303ff376e00211466df02e0d5c439441",
+        "4ca611defe6c974f5164a8810cbe63da879cba8fcfbc0de9a24095d977873589",
+        "cf63088f46c057032400f7a841081f99739f009d317d55a8d4d8d16897daf006",
     ),
     "chung_lu_60_k3": (
         lambda: gen_chung_lu_directed([2] * 60, [2] * 60, 1),

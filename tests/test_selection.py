@@ -102,8 +102,8 @@ def test_incremental_index_matches_rebuild(g, k_max):
     real = engine.update_after_extraction
     updates = []
 
-    def checked(state, affected, changed):
-        out = real(state, affected, changed)
+    def checked(state, changed):
+        out = real(state, changed)
         assert snapshot(state) == snapshot(filled_index(state.graph, config))
         updates.append(len(state.entries))
         return out
@@ -114,12 +114,12 @@ def test_incremental_index_matches_rebuild(g, k_max):
 
 
 class DropAllIndex(EnumState):
-    """The update without suspension: every entry touching an affected
-    node leaves the index at once, and the re-enumeration registers each
-    set it reaches afresh."""
+    """The update by a scan: every entry holding a changed node leaves the
+    index, found by scanning ``entries`` rather than ``by_node``, and the
+    search from the changed nodes registers each set it reaches afresh."""
 
-    def remove_touching(self, nodes, changed):
-        for t in [t for t in self.entries if not nodes.isdisjoint(t)]:
+    def update(self, changed):
+        for t in [t for t in self.entries if not changed.isdisjoint(t)]:
             entry = self.entries.pop(t)
             self._cost_counts[entry.cost] -= 1
             if not self._cost_counts[entry.cost]:
@@ -131,10 +131,7 @@ class DropAllIndex(EnumState):
                     del levels[entry.cost]
                 if not levels:
                     del self.tables[code]
-
-    def update(self, affected, changed):
-        self.remove_touching(affected, changed)
-        for _ in enumerate_connected_sets(self, affected):
+        for _ in enumerate_connected_sets(self, changed):
             pass
 
 
@@ -142,12 +139,11 @@ def check_against_drop_all(g, config):
     """Extract ``g``, updating a ``DropAllIndex`` on the same graph beside
     the real index, and compare the two after every extraction; the real
     index's ``by_node`` lists must hold each indexed set once under each of
-    its nodes.  Returns how many suspended entries the real update kept
-    and how many it rebuilt: a kept entry is one of a set with no member
-    in ``changed``, which gets its entry back without analysis; every
-    other re-enumerated set is analysed and gets a new entry."""
+    its nodes.  Every entry holding no changed node must survive the
+    update as the same object.  Returns how many such entries the updates
+    kept and how many sets they analysed afresh."""
     oracles = []
-    kept = replaced = 0
+    kept = analysed = 0
 
     def make_state(graph, config):
         oracle = DropAllIndex(graph, config)
@@ -158,22 +154,18 @@ def check_against_drop_all(g, config):
 
     real = engine.update_after_extraction
 
-    def checked(state, affected, changed):
-        nonlocal kept, replaced
-        touching = {t: e for t, e in state.entries.items() if not affected.isdisjoint(t)}
-        real(state, affected, changed)
-        oracles[0].update(affected, changed)
-        assert not state.suspended
+    def checked(state, changed):
+        nonlocal kept, analysed
+        untouched = {t: e for t, e in state.entries.items() if changed.isdisjoint(t)}
+        real(state, changed)
+        oracles[0].update(changed)
         assert snapshot(state) == snapshot(oracles[0])
         listed = [(v, t) for v, sets in enumerate(state.by_node) for t in sets]
         assert sorted(listed) == sorted((v, t) for t in state.entries for v in t)
         assert state.library.codes == oracles[0].library.codes
-        for t, entry in touching.items():
-            if t in state.entries:
-                if state.entries[t] is entry:
-                    kept += 1
-                else:
-                    replaced += 1
+        assert all(state.entries[t] is entry for t, entry in untouched.items())
+        kept += len(untouched)
+        analysed += len(state.entries) - len(untouched)
 
     with (
         mock.patch.object(engine, "EnumState", make_state),
@@ -181,7 +173,7 @@ def check_against_drop_all(g, config):
     ):
         res = engine.extract(g, config)
     assert engine.decode(res) == g
-    return kept, replaced
+    return kept, analysed
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,26 +181,23 @@ def check_against_drop_all(g, config):
 @example(g=gen_er(5, 5, 3), k_max=3, shortcut=1)
 def test_suspended_update_matches_drop_all(g, k_max, shortcut):
     """After every extraction, with the shortcut on or off, the index the
-    suspending update leaves equals the one dropping every touched entry
-    and registering afresh leaves: entries, their costs and codes, the
-    tables, the cheapest cost and the library's codes in order.  Only a
-    suspended set with no changed member keeps its entry; any other is
-    analysed and indexed afresh.  In the explicit example a suspended set
-    with a changed member comes back with its cost and masks but other
-    adjacency rows, so codes looked up by its masks alone would be
-    stale."""
+    update leaves through ``by_node`` equals the one a scan of every entry
+    leaves: entries, their costs and codes, the tables, the cheapest cost
+    and the library's codes in order.  In the explicit example a set with
+    a changed node comes back with its cost and masks but other adjacency
+    rows, so codes looked up by its masks alone would be stale."""
     check_against_drop_all(g, ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut))
 
 
 def test_suspended_update_keeps_and_rebuilds_on_a_tree():
-    """On a 127-node binary tree at k 2..5 with the shortcut on, the update
-    both keeps suspended entries (sets with no changed member, not
-    analysed) and rebuilds them (sets with a changed member, analysed and
-    indexed afresh), and matches the oracle."""
-    kept, replaced = check_against_drop_all(
+    """On a 127-node binary tree at k 2..5 with the shortcut on, every
+    entry holding no changed node survives each update as the same object,
+    at least one such entry exists, at least one set is analysed afresh,
+    and the index matches the oracle."""
+    kept, analysed = check_against_drop_all(
         gen_binary_tree(127), ExtractConfig(k_min=2, k_max=5, shortcut_s=1)
     )
-    assert kept > 0 and replaced > 0
+    assert kept > 0 and analysed > 0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -217,19 +206,21 @@ def test_suspended_update_keeps_and_rebuilds_on_a_tree():
 @example(g=gen_binary_tree(10), k_max=8, shortcut=1)
 @example(g=gen_ring_lattice(11, 4), k_max=8, shortcut=0)
 def test_changed_holds_every_node_whose_adjacency_changed(g, k_max, shortcut):
-    """The update skips the analysis of a suspended set with no member in
-    ``changed``, so every node whose in- or out-adjacency an extraction
-    changes must be in ``changed``, and ``changed`` in ``affected``."""
+    """The update revisits only the sets that hold a node of ``changed``,
+    so every node whose in- or out-adjacency an extraction changes must be
+    in ``changed``; and ``changed`` lies within the extracted set and its
+    neighbours before the extraction."""
     real = engine.extract_one
     calls = []
 
     def checked(graph, choice):
         before = {v: (set(graph.in_adj[v]), set(graph.out_adj[v])) for v in graph.active}
-        record, affected, changed = real(graph, choice)
+        near = set(choice.nodes).union(*(graph.neighbors(v) for v in choice.nodes))
+        record, changed = real(graph, choice)
         differ = {v for v, adj in before.items() if adj != (graph.in_adj[v], graph.out_adj[v])}
-        assert differ <= changed <= affected
+        assert differ <= changed <= near
         calls.append(choice)
-        return record, affected, changed
+        return record, changed
 
     with mock.patch.object(engine, "extract_one", checked):
         res = engine.extract(g, ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut))
@@ -294,20 +285,18 @@ def test_registration_matches_rule_oracle(g, k_max, shortcut):
     record follows the first mask pair that gives its rule's code.  The
     explicit examples are a relabelled uniform graph, ring lattices and
     binary trees with ``k_max`` 2 to 8, whose fragments of every size
-    registration looks up on their canonical rows.  The affected nodes ``extract_one``
-    hands to the update are the record's node ids, the survivor's
-    neighbours after the collapse and the edits' externals; the changed
-    nodes are the record's node ids, the edits' externals and every
-    external tied to a member other than the survivor before the
-    extraction."""
+    registration looks up on their canonical rows.  The changed nodes
+    ``extract_one`` hands to the update are the record's node ids, the
+    edits' externals and every external tied to a member other than the
+    survivor before the extraction."""
     config = ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut)
     assert_registered_like_oracle(filled_index(g, config), g)
 
     real, real_extract = engine.update_after_extraction, engine.extract_one
     updates = []
 
-    def checked(state, affected, changed):
-        out = real(state, affected, changed)
+    def checked(state, changed):
+        out = real(state, changed)
         assert_registered_like_oracle(state, state.graph)
         updates.append(len(state.entries))
         return out
@@ -318,12 +307,11 @@ def test_registration_matches_rule_oracle(g, k_max, shortcut):
         tied_elsewhere = {
             x for v in choice.nodes if v != survivor for x in graph.neighbors(v)
         } - set(choice.nodes)
-        record, affected, changed = real_extract(graph, choice)
+        record, changed = real_extract(graph, choice)
         assert record == expected
         externals = {e for _, e, _ in record.edits}
-        assert affected == set(record.node_ids) | graph.neighbors(record.survivor) | externals
         assert changed == set(record.node_ids) | externals | tied_elsewhere
-        return record, affected, changed
+        return record, changed
 
     with (
         mock.patch.object(engine, "update_after_extraction", checked),

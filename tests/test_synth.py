@@ -118,6 +118,14 @@ def test_chung_lu_forced_structure():
         gen_chung_lu_directed([1, 2], [2, 2], 0)
 
 
+def test_chung_lu_zero_total_has_no_edges():
+    g = gen_chung_lu_directed([0, 0, 0], [0, 0, 0], 1)
+    assert g.num_nodes() == 3 and g.num_edges() == 0
+    for out_deg, in_deg in [([1, -1], [1, -1]), ([-1, -1], [-1, -1]), ([], [])]:
+        with pytest.raises(ParamInvalid):
+            gen_chung_lu_directed(out_deg, in_deg, 1)
+
+
 def test_chung_lu_mean_degree():
     n = 400
     out_deg = [2] * n
