@@ -17,6 +17,8 @@ bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
+from itertools import chain
 from pathlib import Path
 
 from .engine import ApplicationRecord, ExtractionResult, bit_account, used_grammar
@@ -35,12 +37,7 @@ def result_to_obj(result: ExtractionResult, manifest: dict | None = None) -> dic
     return {
         "schema_version": SCHEMA_VERSION,
         "manifest": manifest or {},
-        "config": {
-            "k_min": result.config.k_min,
-            "k_max": result.config.k_max,
-            "shortcut_s": result.config.shortcut_s,
-            "mdl_stop": result.config.mdl_stop,
-        },
+        "config": asdict(result.config),
         "grammar": {"codes": [code.hex() for code in result.grammar.codes]},
         "records": [
             {
@@ -59,9 +56,13 @@ def result_to_obj(result: ExtractionResult, manifest: dict | None = None) -> dic
     }
 
 
-def save_artifact(result: ExtractionResult, path: str | Path, manifest: dict | None = None) -> None:
-    obj = result_to_obj(result, manifest)
+def write_json(path: str | Path, obj: dict) -> None:
+    """Write ``obj`` with sorted keys, indent 2 and a final newline."""
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def save_artifact(result: ExtractionResult, path: str | Path, manifest: dict | None = None) -> None:
+    write_json(path, result_to_obj(result, manifest))
 
 
 def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
@@ -69,12 +70,7 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
         if obj["schema_version"] != SCHEMA_VERSION:
             raise ArtifactInvalid(f"unsupported schema version {obj['schema_version']}")
         cfg = obj["config"]
-        config = ExtractConfig(
-            k_min=cfg["k_min"],
-            k_max=cfg["k_max"],
-            shortcut_s=cfg["shortcut_s"],
-            mdl_stop=cfg["mdl_stop"],
-        )
+        config = ExtractConfig(**{f.name: cfg[f.name] for f in fields(ExtractConfig)})
         codes = [bytes.fromhex(c) for c in obj["grammar"]["codes"]]
         check_codes(codes)
         for code in codes:
@@ -83,6 +79,9 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
                     f"a {code[0]}-node rule lies outside k {config.k_min}..{config.k_max}"
                 )
         res = obj["residual"]
+        numbers = [res["n0"], obj["account"]["original_bits"], *res["active"], *chain(*res["edges"])]
+        if not set(map(type, numbers)) <= {int}:
+            raise ArtifactInvalid("residual n0, ids and original_bits must be integers")
         records = [_record_from_obj(r, codes, res["n0"]) for r in obj["records"]]
         freed: set[int] = set()
         for record in records:

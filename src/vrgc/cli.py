@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 from . import analysis, synth
-from .artifact import ArtifactInvalid, load_artifact, save_artifact
+from .artifact import ArtifactInvalid, load_artifact, save_artifact, write_json
 from .engine import CorruptRecord, decode, extract
 from .enumeration import ConfigInvalid, ExtractConfig
 from .graphs import DiGraph, GraphError, parse_edge_list
@@ -116,7 +115,7 @@ def load_or_generate(args) -> DiGraph:
             raise CLIParseError(f"input file not found: {path}")
         try:
             graph = parse_edge_list(path.read_text())
-        except (ValueError, GraphError) as exc:
+        except (OSError, ValueError, GraphError) as exc:
             raise CLIParseError(str(exc))
     elif args.generator:
         n = args.nodes
@@ -152,15 +151,10 @@ def _write_outputs(args, emit, result, manifest) -> None:
     out.mkdir(parents=True, exist_ok=True)
     if "json" in emit:
         save_artifact(result, out / "artifact.json", manifest)
-        grammar_obj = {"manifest": manifest, **result.grammar.to_json_obj()}
-        (out / "grammar.json").write_text(
-            json.dumps(grammar_obj, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "grammar.json", {"manifest": manifest, **result.grammar.to_json_obj()})
         report = analysis.report_json_obj(result)
         report["manifest"] = manifest
-        (out / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "report.json", report)
     if "dot" in emit:
         for rid in result.grammar.ordered_ids():
             dot = rule_to_dot(result.grammar.codes[rid], name=f"rule_{rid}")
@@ -247,9 +241,7 @@ def cmd_compare(args) -> int:
     report = analysis.report_json_obj(result, comparisons)
     report["manifest"] = manifest
     if "json" in emit:
-        (out / "compare.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "compare.json", report)
     if "dot" in emit:
         for name, ranked in rankings.items():
             for rank, code in enumerate(ranked[: args.top]):

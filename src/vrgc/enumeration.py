@@ -1,15 +1,15 @@
 """Connected node-set enumeration and the incremental occurrence index.
 
-Sets are enumerated uniquely by a branch-and-exclude search: every weakly
-connected set is generated exactly once, from its smallest member (or its
-smallest member among the requested roots when the search is restricted).
-One ``excluded`` set serves the whole search.  It holds the nodes the
-current branch may not add: the earlier roots, the branch's members, and
-at each level the siblings already tried; each level of the recursion
-removes what it added before it returns.  The search fills an
-``EnumState``: it registers each set it emits, and prunes the supersets
-of a set that scores too far above the index's cheapest occurrence via
-the shortcut inequality.
+Sets are enumerated uniquely by a branch-and-exclude search (Wernicke's
+ESU): every weakly connected set is found exactly once, from its smallest
+member (or its smallest member among the requested roots when the search
+is restricted).  The search is one plain recursion, ``_grow``, that fills
+an ``EnumState``: it registers each set it finds, and prunes the
+supersets of a set that scores too far above the index's cheapest
+occurrence via the shortcut inequality.  One ``excluded`` set serves the
+whole search.  It holds the nodes the current branch may not add: the
+earlier roots, the branch's members, and at each level the siblings
+already tried; each level removes what it added before it returns.
 
 After each extraction the index revisits only what changed.  A set's
 analysis and its weak connectivity are functions of its members'
@@ -79,45 +79,43 @@ def extension_slack(config: ExtractConfig) -> list[float]:
 def enumerate_connected_sets(
     state: EnumState, roots: Optional[set[int]] = None
 ) -> Iterator[tuple[int, ...]]:
-    """Stream the weakly connected node sets of ``state.graph`` with
-    ``k_min <= |S| <= k_max``, registering each into ``state``.
-
-    With ``roots`` given, only sets containing at least one root are
-    produced (each exactly once).  Every emitted set goes through
-    ``state.register``; its cost, ``state.c_best()`` and
-    ``extension_slack`` decide whether its supersets are enumerated.
-    """
-    graph, config = state.graph, state.config
-    root_list = sorted(graph.active if roots is None else graph.active & roots)
-    k_min, k_max = config.k_min, config.k_max
-    slack = extension_slack(config)
+    """Register into ``state`` the weakly connected node sets of
+    ``state.graph`` with ``k_min <= |S| <= k_max``, only those holding a
+    root if ``roots`` is given, then yield each once in registration
+    order.  A set's cost, ``state.c_best()`` and ``extension_slack``
+    decide whether its supersets are enumerated."""
+    graph = state.graph
+    slack = extension_slack(state.config)
     excluded: set[int] = set()
+    found: list[tuple[int, ...]] = []
+    for r in sorted(graph.active if roots is None else graph.active & roots):
+        excluded.add(r)
+        _grow(state, slack, excluded, found, (r,), graph.neighbors(r) - excluded)
+    yield from found
 
-    def grow(members: tuple[int, ...], frontier: set[int]) -> Iterator[tuple[int, ...]]:
-        # ``frontier`` is every neighbour of ``members`` outside
-        # ``excluded``; each child adds ``w``'s neighbours to it.  The loop
-        # adds the whole frontier to ``excluded`` and removes it on return.
-        for w in sorted(frontier):
-            excluded.add(w)
-            grown = tuple(sorted((*members, w)))
-            k = len(grown)
-            extend = k < k_max
-            if k >= k_min:
-                yield grown
-                c = state.register(grown)
-                extend = extend and c <= state.c_best() + slack[k]
-            if extend:
-                yield from grow(grown, (frontier | graph.neighbors(w)) - excluded)
-        excluded.difference_update(frontier)
 
-    try:
-        for r in root_list:
-            excluded.add(r)
-            yield from grow((r,), graph.neighbors(r) - excluded)
-    finally:
-        # ``grow`` refers to itself through its closure; deleting it breaks
-        # that cycle, so ``state`` does not outlive the search.
-        del grow
+def _grow(
+    state: EnumState, slack: list[float], excluded: set[int],
+    found: list[tuple[int, ...]], members: tuple[int, ...], frontier: set[int],
+) -> None:
+    """Register each set that adds a frontier node to ``members``, append
+    it to ``found`` and recurse while the shortcut allows.  ``frontier`` is
+    every neighbour of ``members`` outside ``excluded``; each child adds
+    ``w``'s neighbours to it.  The loop adds the whole frontier to
+    ``excluded`` and removes it on return."""
+    graph, k_min, k_max = state.graph, state.config.k_min, state.config.k_max
+    for w in sorted(frontier):
+        excluded.add(w)
+        grown = tuple(sorted((*members, w)))
+        k = len(grown)
+        extend = k < k_max
+        if k >= k_min:
+            found.append(grown)
+            c = state.register(grown)
+            extend = extend and c <= state.c_best() + slack[k]
+        if extend:
+            _grow(state, slack, excluded, found, grown, (frontier | graph.neighbors(w)) - excluded)
+    excluded.difference_update(frontier)
 
 
 # -- occurrence index ------------------------------------------------------
@@ -165,7 +163,7 @@ class EnumState:
 
     def register(self, nodes: tuple[int, ...]) -> int:
         """Score a node set not in ``entries``, index it and return its
-        cost; ``enumerate_connected_sets`` calls it on every set it emits.
+        cost; the search calls it on every set it finds.
 
         The set is read out of the graph once by ``analyze_set`` and
         indexed with the codes ``codes_of`` holds for its reading.  On a

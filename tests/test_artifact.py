@@ -116,6 +116,9 @@ FAULTS = {
     "residual_freed_active": "residual active ids",
     "residual_edge_to_freed": "is not active",
     "residual_self_loop": "self-loop",
+    "residual_active_float": "ids and original_bits must be integers",
+    "residual_edge_float": "ids and original_bits must be integers",
+    "original_bits_float": "ids and original_bits must be integers",
     "code_unused": "no record uses",
     "config_k_max": "k_max must be at most",
     "config_k_min": "k_min must be at least",
@@ -126,6 +129,7 @@ FAULTS = {
     "config_mdl_stop_string": "mdl_stop must be a boolean",
     "config_mdl_stop_null": "mdl_stop must be a boolean",
     "config_shortcut_fraction": "shortcut parameter must be an integer or None",
+    "missing_config_key": "malformed artifact: 'mdl_stop'",
     **{f"account_{figure}": "bit account" for figure in ACCOUNT_FIGURES},
 }
 
@@ -145,12 +149,14 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     earlier one freed, to free it again or to keep it as survivor.  The
     residual's active ids must be exactly the ids no record frees: an extra
     active id or a freed id marked active decodes into another graph.  An
-    edge to a freed id or a self-loop is no residual edge.  Every figure of
-    the bit account but ``original_bits`` follows from the codes, the
-    records and the residual, so one set to 0 is rejected.  A stored code
+    edge to a freed id or a self-loop is no residual edge.  A residual id
+    or an ``original_bits`` stored as a float equals the integer, so it
+    would decode to the source graph and re-save as other bytes.  Every
+    figure of the bit account but ``original_bits`` follows from the
+    codes, the records and the residual, so one set to 0 is rejected.  A stored code
     that no record uses would not come back on the next save.  A ``config``
-    outside the ranges or types ``ExtractConfig`` takes (``True`` is no
-    integer), or one whose k range excludes a stored rule, cannot have
+    that lacks a field of ``ExtractConfig`` or lies outside the ranges or
+    types it takes (``True`` is no integer), or one whose k range excludes a stored rule, cannot have
     produced the run: it is a fault of the artifact, not a configuration
     error of the run that loads it."""
     obj = result_to_obj(extract(demo6, ExtractConfig(k_min=2, k_max=3)))
@@ -182,6 +188,8 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
         # a valid canonical rule (one edge, no boundary) that no record names
         assert "0200000001" not in gram["codes"]
         gram["codes"].append("0200000001")
+    elif fault == "missing_config_key":
+        del obj["config"]["mdl_stop"]
     elif fault.startswith("config_"):
         key, value = {
             "config_k_max": ("k_max", 9),
@@ -195,6 +203,14 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
             "config_shortcut_fraction": ("shortcut_s", 0.5),
         }[fault]
         obj["config"][key] = value
+    elif fault == "residual_active_float":
+        obj["residual"]["active"] = [float(v) for v in obj["residual"]["active"]]
+    elif fault == "residual_edge_float":
+        # demo6's residual keeps no edge; this one keeps all 80
+        obj = result_to_obj(extract(gen_er(30, 80, 1), ExtractConfig(k_max=3, mdl_stop=True)))
+        obj["residual"]["edges"][0] = [float(v) for v in obj["residual"]["edges"][0]]
+    elif fault == "original_bits_float":
+        obj["account"]["original_bits"] = float(obj["account"]["original_bits"])
     elif fault == "code_relabelled":
         # 0 -> 1 with the out-boundary at 1, relabelled as 1 -> 0 with it at 0
         assert gram["codes"][0] == "0200020200"

@@ -64,6 +64,21 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unreadable_input_exits_1(tmp_path, capsys, monkeypatch):
+    """An input file that exists but cannot be read ends in ``error:`` and
+    exit 1, not a traceback.  Root can read a ``chmod 000`` file, so the
+    read raises by hand."""
+    edges = write_demo(tmp_path)
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    assert main(["extract", "--input", str(edges), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Permission denied" in err
+
+
 def test_bad_config_exits_2(tmp_path):
     edges = write_demo(tmp_path)
     assert main(["extract", "--input", str(edges), "--kmax", "9", "--out", str(tmp_path)]) == 2

@@ -183,3 +183,34 @@ def test_incremental_update_matches_scratch(demo6):
             }
             for t, entry in state.entries.items():
                 assert entry.codes == fresh.entries[t].codes
+
+
+@pytest.mark.parametrize("shortcut_s", [1, None], ids=["shortcut", "exhaustive"])
+@pytest.mark.parametrize("name", ["demo6_k3", "binary_tree_31_k5", "ring_lattice_12_4_k6"])
+def test_search_yields_what_it_registers(demo6, name, shortcut_s):
+    """The search hands off exactly the sets it registers, each once and
+    in registration order: on a fresh index, the index's entries; after
+    each extraction, the search from ``changed`` yields exactly the
+    entries it adds.  The initial enumeration's count and the emitted-set
+    tests read this hand-off."""
+    from vrgc.engine import extract_one, select_best
+    from vrgc.synth import gen_binary_tree, gen_ring_lattice
+
+    graph, k_max = {
+        "demo6_k3": (demo6, 3),
+        "binary_tree_31_k5": (gen_binary_tree(31), 5),
+        "ring_lattice_12_4_k6": (gen_ring_lattice(12, 4), 6),
+    }[name]
+    state = EnumState(graph, ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut_s))
+    found = list(enumerate_connected_sets(state))
+    assert found == list(state.entries)
+    extractions = 0
+    while (choice := select_best(state)) is not None:
+        _, changed = extract_one(graph, choice)
+        state.library.record_extraction(choice.rule_id)
+        state.remove_touching(changed)
+        kept = set(state.entries)
+        found = list(enumerate_connected_sets(state, changed))
+        assert found == [t for t in state.entries if t not in kept]
+        extractions += 1
+    assert extractions > 1
