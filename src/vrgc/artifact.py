@@ -88,7 +88,8 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
             ids = record.node_ids
             if not freed.isdisjoint(ids):
                 raise ArtifactInvalid(f"record node ids {list(ids)} reuse a freed id")
-            freed.update(record.freed_ids)
+            freed.update(ids)
+            freed.discard(min(ids))
         active = set(res["active"])
         # a necessary condition of the check below, which builds O(n0) sets
         if len(active) + len(freed) != res["n0"] or active != set(range(res["n0"])) - freed:
@@ -98,11 +99,16 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
             raise ArtifactInvalid("the artifact stores a rule that no record uses")
         residual = DiGraph(res["n0"])
         residual.active = active
-        for u, v in res["edges"]:
+        edges = list(map(tuple, res["edges"]))
+        for u, v in edges:
             residual.add_edge(u, v)
         account = bit_account(records, codes, residual, obj["account"]["original_bits"])
         if account.to_json_obj() != obj["account"]:
             raise ArtifactInvalid("stored bit account differs from the one the artifact gives")
+        # the writer's form, so that a loaded artifact re-saves as the same bytes
+        for name, items in (("active ids", res["active"]), ("edges", edges)):
+            if any(a >= b for a, b in zip(items, items[1:])):
+                raise ArtifactInvalid(f"residual {name} are not strictly ascending")
         result = ExtractionResult(
             grammar=grammar, records=records, residual=residual, account=account, config=config
         )
@@ -127,14 +133,14 @@ def _record_from_obj(r: dict, codes: list[bytes], n0: int) -> ApplicationRecord:
         type(v) is int and 0 <= v < n0 for v in node_ids
     ):
         raise ArtifactInvalid(f"record node ids {list(node_ids)} are not {k} distinct ids below {n0}")
-    edits = tuple((p, e, d) for p, e, d in r["edits"])
+    edits = tuple(map(tuple, r["edits"]))
     for p, e, d in edits:
         if (
             type(p) is not int or not 0 <= p < k or d not in ("in", "out")
             or type(e) is not int or not 0 <= e < n0 or e in node_ids
         ):
             raise ArtifactInvalid(f"bad edit {[p, e, d]} in a record of a {k}-node rule")
-    return ApplicationRecord(rule_id=rid, node_ids=node_ids, edits=edits)
+    return ApplicationRecord(rid, node_ids, edits)
 
 
 def load_artifact(path: str | Path) -> tuple[ExtractionResult, dict]:

@@ -66,10 +66,6 @@ class ApplicationRecord:
     def survivor(self) -> int:
         return min(self.node_ids)
 
-    @property
-    def freed_ids(self) -> frozenset[int]:
-        return frozenset(self.node_ids) - {self.survivor}
-
 
 @dataclass
 class ExtractionResult:
@@ -203,16 +199,18 @@ def incident_edges(graph: DiGraph, nodes: tuple[int, ...]) -> int:
 
 
 def _toggle_edits(graph: DiGraph, record: ApplicationRecord) -> None:
-    """Toggle a record's edits: extraction makes them and replay undoes
-    them with the same calls."""
+    """Toggle a record's edits in one ``toggle_edges`` batch: extraction
+    makes them and replay undoes them with the same call."""
+    node_ids = record.node_ids
+    pairs = []
     for position, external, direction in record.edits:
-        member = record.node_ids[position]
         if direction == "in":
-            graph.toggle_edge(external, member)
+            pairs.append((external, node_ids[position]))
         elif direction == "out":
-            graph.toggle_edge(member, external)
+            pairs.append((node_ids[position], external))
         else:
             raise CorruptRecord(f"bad edit direction {direction!r}")
+    graph.toggle_edges(pairs)
 
 
 def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:

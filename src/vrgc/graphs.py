@@ -1,14 +1,26 @@
-"""Directed simple-graph representation with toggle and collapse primitives.
+"""Directed simple-graph representation with toggle, collapse and expand primitives.
 
 Node ids live in a fixed id space ``0..n0-1`` where ``n0`` is the original
 node count.  Collapsing a node set retires all but the smallest id, which
 survives; ids are never grown.  This keeps every ``ceil(log2 n0)`` address
 width stable for the bit accounting and makes decode addressing exact.
+
+``collapse`` and ``expand`` are inverses: expanding a survivor with the
+fragment rows and boundary masks of the set collapsed into it restores
+the graph as it was before the collapse.  Both keep the invariant that an
+inactive id has no edges, as do ``add_edge`` and ``toggle_edges``, which
+check both endpoints, and the artifact loader, which adds the residual's
+edges with ``add_edge``.  ``expand`` relies on the invariant to write the
+regrown fragment's edges without a check per edge.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+
+# The positions of the set bits of each byte, in ascending order.
+_BITS = [tuple(j for j in range(8) if m >> j & 1) for m in range(256)]
 
 
 class GraphError(Exception):
@@ -88,13 +100,27 @@ class DiGraph:
         self.out_adj[u].discard(v)
         self.in_adj[v].discard(u)
 
-    def toggle_edge(self, u: int, v: int) -> None:
-        """Flip edge presence; the one primitive that makes and undoes
-        every recorded edit."""
-        if self.has_edge(u, v):
-            self.remove_edge(u, v)
-        else:
-            self.add_edge(u, v)
+    def toggle_edges(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Flip the presence of each edge ``(u, v)`` in turn; the one
+        primitive that makes and undoes every recorded edit.  Both
+        endpoints of each pair are checked, as ``add_edge`` checks them: a
+        tampered record can name an external that is inactive when its
+        edits are replayed."""
+        active, out_adj, in_adj = self.active, self.out_adj, self.in_adj
+        for u, v in pairs:
+            if u == v:
+                raise GraphError(f"self-loop {u}->{v}")
+            if u not in active:
+                raise GraphError(f"node {u} is not active")
+            if v not in active:
+                raise GraphError(f"node {v} is not active")
+            succs = out_adj[u]
+            if v in succs:
+                succs.remove(v)
+                in_adj[v].remove(u)
+            else:
+                succs.add(v)
+                in_adj[v].add(u)
 
     # -- collapse ----------------------------------------------------------
 
@@ -129,6 +155,43 @@ class DiGraph:
             self.out_adj[survivor].add(w)
             self.in_adj[w].add(survivor)
         return survivor
+
+    def expand(
+        self, node_ids: tuple[int, ...], rows: bytes, i_mask: int, o_mask: int
+    ) -> None:
+        """Regrow a fragment at its survivor ``min(node_ids)``: the inverse of
+        ``collapse``.
+
+        ``node_ids[p]`` stands at fragment position ``p``, and bit ``j`` of
+        ``rows[p]`` is the edge ``node_ids[p] -> node_ids[j]``.  The
+        survivor's in-neighbours get an edge to every id whose bit is set in
+        ``i_mask``, its out-neighbours one from every id set in ``o_mask``.
+        The edges are written without a check: the caller
+        (``rules.apply_rule``) checks that the survivor is the only active
+        id and that no row has its own bit, so, inactive ids having no
+        edges, every neighbour is active and outside ``node_ids``.
+        """
+        survivor = min(node_ids)
+        survivor_bit = 1 << node_ids.index(survivor)
+        out_adj, in_adj = self.out_adj, self.in_adj
+        for mask, near, far in ((i_mask, in_adj, out_adj), (o_mask, out_adj, in_adj)):
+            nbrs = near[survivor]
+            if not mask & survivor_bit:  # else its boundary edges stay as they are
+                near[survivor] = set()
+                for x in nbrs:
+                    far[x].remove(survivor)
+            for p in _BITS[mask & ~survivor_bit]:
+                v = node_ids[p]
+                near[v] = set(nbrs)
+                for x in nbrs:
+                    far[x].add(v)
+        self.active.update(node_ids)
+        for nid, row in zip(node_ids, rows):
+            succs = out_adj[nid]
+            for j in _BITS[row]:
+                v = node_ids[j]
+                succs.add(v)
+                in_adj[v].add(nid)
 
     # -- equality ----------------------------------------------------------
 

@@ -38,6 +38,10 @@ from .graphs import DiGraph
 
 K_HARD_MAX = 8
 
+# Bit ``p`` of row ``p``, the self-loop at position ``p``, is bit ``9 * p``
+# of the rows read as one little-endian integer.
+_SELF_LOOPS = sum(1 << 9 * p for p in range(K_HARD_MAX))
+
 
 class RuleError(Exception):
     pass
@@ -266,10 +270,16 @@ def apply_rule(graph: DiGraph, code: bytes, node_ids: tuple[int, ...]) -> None:
     """Regrow the fragment ``code`` stores at the survivor ``min(node_ids)``, in place.
 
     ``node_ids[p]`` is the id at canonical position ``p``; the others must be
-    free.  The code is checked for length only, as ``check_codes`` or
-    ``canonical_form`` made it.  The survivor's in-neighbors are rewired to
-    every i-marked fragment node, its out-neighbors to every o-marked one;
-    ``RuleError`` before any change if a side without a mask has edges.
+    free.  The survivor's in-neighbors are rewired to every i-marked
+    fragment node, its out-neighbors to every o-marked one.  Every check is
+    made once, before any change, raising ``RuleError``: the code is
+    ``k + 3`` bytes (``check_codes`` or ``canonical_form`` made the rest of
+    it valid); there are ``k`` distinct ids; the survivor is the only active
+    one; no side without a mask has edges; and no row has its own bit.
+    ``DiGraph.expand`` then writes the edges with no check per edge, for
+    none can fail: the fragment edges join distinct ids it has just
+    activated, and since an inactive id has no edges, each of the
+    survivor's neighbors is active and not in ``node_ids``.
     """
     k, i_mask, o_mask = code[:3]
     if len(code) != k + 3:
@@ -279,23 +289,9 @@ def apply_rule(graph: DiGraph, code: bytes, node_ids: tuple[int, ...]) -> None:
     survivor = min(node_ids)
     if graph.active.intersection(node_ids) != {survivor}:
         raise RuleError(f"of ids {node_ids}, the survivor {survivor} alone must be active")
-    in_nbrs = list(graph.in_adj[survivor])
-    out_nbrs = list(graph.out_adj[survivor])
-    if in_nbrs and not i_mask or out_nbrs and not o_mask:
+    if graph.in_adj[survivor] and not i_mask or graph.out_adj[survivor] and not o_mask:
         raise RuleError(f"survivor {survivor} has edges on a side the rule has no mask for")
-    for u in in_nbrs:
-        graph.remove_edge(u, survivor)
-    for w in out_nbrs:
-        graph.remove_edge(survivor, w)
-    graph.active.update(node_ids)
-    for p, (nid, row) in enumerate(zip(node_ids, code[3:])):
-        while row:
-            low = row & -row
-            graph.add_edge(nid, node_ids[low.bit_length() - 1])
-            row ^= low
-        if i_mask >> p & 1:
-            for u in in_nbrs:
-                graph.add_edge(u, nid)
-        if o_mask >> p & 1:
-            for w in out_nbrs:
-                graph.add_edge(nid, w)
+    rows = code[3:]
+    if int.from_bytes(rows, "little") & _SELF_LOOPS:
+        raise RuleError(f"rule code {code.hex()} has a self-loop")
+    graph.expand(node_ids, rows, i_mask, o_mask)

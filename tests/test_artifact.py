@@ -119,6 +119,10 @@ FAULTS = {
     "residual_active_float": "ids and original_bits must be integers",
     "residual_edge_float": "ids and original_bits must be integers",
     "original_bits_float": "ids and original_bits must be integers",
+    "residual_active_repeated": "residual active ids are not strictly ascending",
+    "residual_active_reversed": "residual active ids are not strictly ascending",
+    "residual_edge_repeated": "residual edges are not strictly ascending",
+    "residual_edges_reversed": "residual edges are not strictly ascending",
     "code_unused": "no record uses",
     "config_k_max": "k_max must be at most",
     "config_k_min": "k_min must be at least",
@@ -150,8 +154,10 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
     residual's active ids must be exactly the ids no record frees: an extra
     active id or a freed id marked active decodes into another graph.  An
     edge to a freed id or a self-loop is no residual edge.  A residual id
-    or an ``original_bits`` stored as a float equals the integer, so it
-    would decode to the source graph and re-save as other bytes.  Every
+    or an ``original_bits`` stored as a float equals the integer, and so
+    does a residual with its active ids or edges repeated or out of the
+    writer's ascending order: each would decode to the source graph and
+    re-save as other bytes.  Every
     figure of the bit account but ``original_bits`` follows from the
     codes, the records and the residual, so one set to 0 is rejected.  A stored code
     that no record uses would not come back on the next save.  A ``config``
@@ -205,10 +211,27 @@ def test_load_rejects_bad_grammar(tmp_path, demo6, fault):
         obj["config"][key] = value
     elif fault == "residual_active_float":
         obj["residual"]["active"] = [float(v) for v in obj["residual"]["active"]]
-    elif fault == "residual_edge_float":
-        # demo6's residual keeps no edge; this one keeps all 80
+    elif fault in (
+        "residual_edge_float",
+        "residual_edge_repeated",
+        "residual_edges_reversed",
+        "residual_active_repeated",
+        "residual_active_reversed",
+    ):
+        # demo6's residual keeps one active id and no edge; this one keeps
+        # all 30 ids and all 80 edges
         obj = result_to_obj(extract(gen_er(30, 80, 1), ExtractConfig(k_max=3, mdl_stop=True)))
-        obj["residual"]["edges"][0] = [float(v) for v in obj["residual"]["edges"][0]]
+        active, edges = obj["residual"]["active"], obj["residual"]["edges"]
+        if fault == "residual_edge_float":
+            edges[0] = [float(v) for v in edges[0]]
+        elif fault == "residual_edge_repeated":
+            edges.append(edges[0])
+        elif fault == "residual_edges_reversed":
+            edges.reverse()
+        elif fault == "residual_active_repeated":
+            active.append(active[0])
+        else:
+            active.reverse()
     elif fault == "original_bits_float":
         obj["account"]["original_bits"] = float(obj["account"]["original_bits"])
     elif fault == "code_relabelled":

@@ -156,9 +156,11 @@ def test_roundtrip_corrupted_artifact_exits_3(tmp_path, capsys):
     # the ids it freed are then neither freed nor active, which the loader sees
     assert main(argv) == 1
     assert "residual active ids" in capsys.readouterr().err
-    # marked active, they no longer match the stored bit account
+    # marked active, in the writer's ascending order, they no longer match
+    # the stored bit account
     survivor = min(dropped["node_ids"])
-    obj["residual"]["active"] += [v for v in dropped["node_ids"] if v != survivor]
+    active = obj["residual"]["active"] + [v for v in dropped["node_ids"] if v != survivor]
+    obj["residual"]["active"] = sorted(active)
     art.write_text(json.dumps(obj))
     assert main(argv) == 1
     assert "bit account" in capsys.readouterr().err

@@ -91,7 +91,7 @@ def test_monotone_shrinkage(demo6):
     res = extract(demo6, ExtractConfig(k_min=2, k_max=3))
     sizes = [demo6.num_nodes()]
     for record in res.records:
-        sizes.append(sizes[-1] - len(record.freed_ids))
+        sizes.append(sizes[-1] - (len(record.node_ids) - 1))
     assert sizes[-1] == res.residual.num_nodes()
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
@@ -356,3 +356,18 @@ def test_replay_rejects_truncated_rule_code(demo6):
     res.grammar.codes[0] = res.grammar.codes[0][:-1]
     with pytest.raises(CorruptRecord, match="replay failed at rule 0"):
         decode(res)
+
+
+def test_replay_rejects_edit_to_an_inactive_id():
+    """An edit may name an id that the loader accepts (below ``n0``,
+    outside its record) but that is inactive when its record is replayed:
+    one an older record freed.  The batch toggle checks each endpoint, so
+    the artifact loads and its decode ends in ``CorruptRecord``."""
+    res = extract(gen_er(30, 80, 1), ExtractConfig(k_min=2, k_max=3))
+    freed = max(res.records[0].node_ids)
+    obj = result_to_obj(res)
+    edited = next(r for r in obj["records"][1:] if r["edits"])
+    edited["edits"][0][1] = freed
+    loaded, _ = result_from_obj(obj)
+    with pytest.raises(CorruptRecord, match=f"node {freed} is not active"):
+        decode(loaded)

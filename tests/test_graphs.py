@@ -27,11 +27,11 @@ def test_equal_graphs_are_unhashable(demo6):
 
 
 def test_toggle_flips_presence(demo6):
-    demo6.toggle_edge(1, 3)
+    demo6.toggle_edges([(1, 3)])
     assert not demo6.has_edge(1, 3)
-    demo6.toggle_edge(1, 3)
+    demo6.toggle_edges([(1, 3)])
     assert demo6.has_edge(1, 3)
-    demo6.toggle_edge(0, 3)
+    demo6.toggle_edges([(0, 3)])
     assert demo6.has_edge(0, 3)
     assert not demo6.has_edge(3, 0)
 
@@ -39,18 +39,16 @@ def test_toggle_flips_presence(demo6):
 def test_edit_inverse_restores(demo6):
     """A second toggle of the same pair undoes the first, for additions
     and deletions alike."""
-    for u, v in [(0, 3), (1, 3), (3, 1), (5, 3)]:
-        demo6.toggle_edge(u, v)
+    demo6.toggle_edges([(0, 3), (1, 3), (3, 1), (5, 3)])
     assert demo6 != DiGraph.from_edges(6, DEMO6_EDGES)
-    for u, v in [(5, 3), (3, 1), (1, 3), (0, 3)]:
-        demo6.toggle_edge(u, v)
+    demo6.toggle_edges([(5, 3), (3, 1), (1, 3), (0, 3)])
     assert demo6 == DiGraph.from_edges(6, DEMO6_EDGES)
 
 
 def test_edit_on_inactive_endpoint(demo6):
     demo6.collapse({0, 1})
     with pytest.raises(GraphError, match="node 1 is not active"):
-        demo6.toggle_edge(1, 2)
+        demo6.toggle_edges([(1, 2)])
 
 
 def test_self_loop_rejected(demo6):

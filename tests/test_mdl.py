@@ -177,11 +177,10 @@ def test_edits_produce_exact_occurrence(seed):
     nodes = sets[rng.randrange(len(sets))]
     for (_, _, i_mask, o_mask), edits in best_candidates(g, nodes):
         edited = g.copy()
-        for p, external, direction in edits:
-            if direction == "in":
-                edited.toggle_edge(external, nodes[p])
-            else:
-                edited.toggle_edge(nodes[p], external)
+        edited.toggle_edges(
+            (external, nodes[p]) if direction == "in" else (nodes[p], external)
+            for p, external, direction in edits
+        )
         _, in_pats, out_pats = naive_set_read(edited, nodes)
         for _, pat in in_pats:
             assert pat == i_mask

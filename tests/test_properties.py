@@ -3,7 +3,9 @@ artifact loader.
 
 ``decode(extract(G)) == G`` must hold on every generator, at every
 ``kmax`` up to 8, with the shortcut at 0, 1 and off and ``mdl_stop`` on and
-off, also after the result goes through the artifact's JSON.  The loader
+off, also after the result goes through the artifact's JSON, and each
+replayed record must leave the graph that a reference regrow, with a
+checked call per edge, leaves.  The loader
 must turn any one-leaf change of a saved artifact into ``ArtifactInvalid``,
 or else hand back a result that decodes to a graph or raises
 ``CorruptRecord``.
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from vrgc import synth
 from vrgc.artifact import ArtifactInvalid, result_from_obj, result_to_obj
-from vrgc.engine import CorruptRecord, decode, extract
+from vrgc.engine import CorruptRecord, decode, extract, replay
 from vrgc.enumeration import ExtractConfig
 from vrgc.graphs import DiGraph
 
@@ -42,6 +44,54 @@ def small_graphs(draw):
     return synth.gen_chung_lu_directed(out_degrees, draw(st.permutations(out_degrees)), seed)
 
 
+def reference_regrow(graph, code, record):
+    """Undo one record with a checked call per edge: ``remove_edge`` and
+    ``add_edge`` regrow the fragment, and ``has_edge`` picks the call that
+    flips each edit.  ``DiGraph.expand`` and ``DiGraph.toggle_edges`` write
+    the adjacency sets directly and must leave the same graph."""
+    k, i_mask, o_mask = code[:3]
+    node_ids = record.node_ids
+    survivor = min(node_ids)
+    in_nbrs = list(graph.in_adj[survivor])
+    out_nbrs = list(graph.out_adj[survivor])
+    for u in in_nbrs:
+        graph.remove_edge(u, survivor)
+    for w in out_nbrs:
+        graph.remove_edge(survivor, w)
+    graph.active.update(node_ids)
+    for p, (nid, row) in enumerate(zip(node_ids, code[3:])):
+        for j in range(k):
+            if row >> j & 1:
+                graph.add_edge(nid, node_ids[j])
+        if i_mask >> p & 1:
+            for u in in_nbrs:
+                graph.add_edge(u, nid)
+        if o_mask >> p & 1:
+            for w in out_nbrs:
+                graph.add_edge(nid, w)
+    for p, external, direction in record.edits:
+        u, v = (external, node_ids[p]) if direction == "in" else (node_ids[p], external)
+        if graph.has_edge(u, v):
+            graph.remove_edge(u, v)
+        else:
+            graph.add_edge(u, v)
+
+
+def check_replay_against_reference(res):
+    """After every replayed record, ``replay``'s graph equals the
+    reference's, its ``out_adj`` and ``in_adj`` mirror each other, and
+    every edge joins two active ids."""
+    ref = res.residual.copy()
+    for i in reversed(range(len(res.records))):
+        record = res.records[i]
+        reference_regrow(ref, res.grammar.codes[record.rule_id], record)
+        g = replay(res.residual, res.records[i:], res.grammar)
+        assert g == ref
+        edges = {(u, v) for u, succs in g.out_adj.items() for v in succs}
+        assert edges == {(u, v) for v, preds in g.in_adj.items() for u in preds}
+        assert all(u in g.active and v in g.active for u, v in edges)
+
+
 # A fixed draw keeps tier-1's time fixed: these 12 examples cover all five
 # generators, kmax 2..8, each shortcut and both mdl_stop values in about 9 s,
 # most of it one Chung-Lu graph at kmax 8.
@@ -55,6 +105,7 @@ def small_graphs(draw):
 def test_roundtrip_every_generator(g, k_max, shortcut, mdl_stop):
     res = extract(g, ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut, mdl_stop=mdl_stop))
     assert decode(res) == g
+    check_replay_against_reference(res)
     loaded, _ = result_from_obj(json.loads(json.dumps(result_to_obj(res))))
     assert decode(loaded) == g
 
@@ -66,6 +117,16 @@ FUZZ_CASES = {
         lambda: synth.gen_ring_lattice(20),
         ExtractConfig(k_min=2, k_max=5, shortcut_s=None),
     ),
+}
+
+# How many mutants of each case end in ``ArtifactInvalid``, in
+# ``CorruptRecord``, in the source graph and in another graph.  A change
+# that moves a check shows here; a count may move only from a decoded
+# outcome to a rejection.
+FUZZ_OUTCOMES = {
+    "bintree_40_k4": (662, 0, 19, 30),
+    "er_30_80_k3": (1533, 74, 50, 201),
+    "ringlat_20_k5_off": (473, 3, 17, 18),
 }
 
 
@@ -124,15 +185,24 @@ def load_and_decode(obj):
 def test_loader_fuzz_single_leaf(case):
     """Every one-leaf mutation of a saved artifact is rejected with
     ``ArtifactInvalid`` or ``CorruptRecord``, or decodes to a graph; no
-    other exception escapes the loader or the decoder."""
+    other exception escapes the loader or the decoder, and each outcome
+    comes as often as ``FUZZ_OUTCOMES`` says."""
     make, config = FUZZ_CASES[case]
     g = make()
     obj = json.loads(json.dumps(result_to_obj(extract(g, config))))
     assert load_and_decode(obj) == g
     sections = set()
+    counts = [0, 0, 0, 0]
     for path in mutants(obj):
         outcome = load_and_decode(obj)
-        assert outcome in (ArtifactInvalid, CorruptRecord) or isinstance(outcome, DiGraph)
+        if outcome is ArtifactInvalid:
+            counts[0] += 1
+        elif outcome is CorruptRecord:
+            counts[1] += 1
+        else:
+            assert isinstance(outcome, DiGraph)
+            counts[2 if outcome == g else 3] += 1
         sections.add(path[0])
     assert sections == set(obj) - {"manifest"}
+    assert tuple(counts) == FUZZ_OUTCOMES[case]
     assert load_and_decode(obj) == g

@@ -287,6 +287,8 @@ def test_apply_rule_errors():
         apply_rule(g, no_in, (1, 2))
     with pytest.raises(RuleError, match="is not 5 bytes"):
         apply_rule(g, chain[:-1], (1, 2))
+    with pytest.raises(RuleError, match="has a self-loop"):
+        apply_rule(g, bytes((2, 0b01, 0b10, 0b11, 0)), (1, 2))
     collapsed = DiGraph.from_edges(4, edges)
     collapsed.collapse({1, 2})
     assert g == collapsed  # no failed call changed the graph
