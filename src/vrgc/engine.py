@@ -3,12 +3,13 @@
 Each iteration picks the rule with the highest predicted nodes-per-bit
 ratio, extracts one cheapest occurrence of it (edge edits first, then
 collapse to the smallest member id), and refreshes the occurrence index
-by revisiting only the sets that hold a node whose adjacency the
-extraction changed.  Selection is
-incremental as well: only the rule codes whose occurrences changed since
-the previous iteration are rescored, and the best score is read from a
-lazily invalidated heap.  The records written along the way replay in
-reverse to reproduce the input bit for bit.
+by revisiting only the sets whose reading the extraction can change:
+those that hold a member of the set, an edit's external, or an external
+tied to two or more members.  Selection is incremental as well: only the
+rule codes whose occurrences changed since the previous iteration are
+rescored, and the best score is read from a lazily invalidated heap.
+The records written along the way replay in reverse to reproduce the
+input bit for bit.
 """
 
 from __future__ import annotations
@@ -161,12 +162,27 @@ def extract_one(graph: DiGraph, choice: Choice) -> tuple[ApplicationRecord, set[
     first minimum-cost mask pair with the chosen code, as registration saw
     it; ``StaleCandidate``, before any edit, if no pair at that cost has it.
 
-    Returns the record and the nodes whose adjacency may have changed: the
-    set, every edit's external, and every external with a pattern bit
-    other than position 0.  Position 0 is the survivor, since ``nodes`` is
-    sorted, so an external tied only to it and named by no edit keeps its
-    adjacency through ``collapse``.  The index update revisits exactly the
-    sets that hold one of these nodes."""
+    Returns the record and the nodes whose sets may read differently: the
+    set, every edit's external, and every external tied to two or more
+    members on a side.  The index update revisits exactly the sets that
+    hold one of these nodes, and it is exact:
+
+    - ``boundary_edits`` names no external only when its pattern already
+      equals that side's mask, so on each side every external that no
+      edit names has pattern 0 or exactly the mask.
+    - If the mask has two or more bits, those externals lose edges in the
+      collapse's merge, and they are in ``changed``.
+    - If the mask is the single bit of member ``m``, take a set ``T`` that
+      holds no node of ``changed``.  On that side every member of ``T``
+      that touches the extracted set touches only ``m``, so ``m`` is
+      ``T``'s only external from the extracted set there, and the
+      collapse only renames ``m`` to the survivor: the external keeps its
+      pattern over ``T``.  ``T``'s rows and other externals are untouched,
+      so its reading ``(adj, sorted in-patterns, sorted out-patterns)``,
+      and with it its cost, masks, codes and weak connectivity, stay the
+      same, although the adjacency of its members tied to ``m`` changed.
+    - Sets that hold ``m`` or the survivor hold a node of ``changed``
+      already."""
     nodes = choice.nodes
     analysis = analyze_set(graph, nodes)
     pairs = product(analysis.i_masks, analysis.o_masks) if analysis.cost == choice.cost else ()
@@ -187,7 +203,7 @@ def extract_one(graph: DiGraph, choice: Choice) -> tuple[ApplicationRecord, set[
     graph.collapse(set(nodes))
     changed = {*nodes, *(external for _, external, _ in edits)}
     for pats in (analysis.in_pats, analysis.out_pats):
-        changed.update(x for x, pat in pats.items() if pat > 1)
+        changed.update(x for x, pat in pats.items() if pat & (pat - 1))
     return record, changed
 
 

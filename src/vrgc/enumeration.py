@@ -12,13 +12,16 @@ earlier roots, the branch's members, and at each level the siblings
 already tried; each level removes what it added before it returns.
 
 After each extraction the index revisits only what changed.  A set's
-analysis and its weak connectivity are functions of its members'
-adjacency alone, so the update drops every entry holding a node whose
-adjacency the extraction changed (a ``node -> sets`` index finds them)
-and re-enumerates the sets that hold such a node; every other entry
-stays as it is.  A set's codes are a function of its reading, the
-fragment's adjacency rows and each side's minimizing masks, so each index
-keeps a ``reading -> codes`` table and canonicalises each reading once.
+analysis and its weak connectivity depend on its rows and its
+externals' patterns, not on the externals' ids.  So the update drops
+every entry holding a node of ``changed`` (a ``node -> sets`` index
+finds them), the nodes whose sets the extraction can make read
+differently as ``engine.extract_one`` defines them, and re-enumerates
+the sets that hold such a node; every other entry stays as it is, also
+when the collapse renamed one of its externals.  A set's codes are a
+function of its reading, the fragment's adjacency rows and each side's
+minimizing masks, so each index keeps a ``reading -> codes`` table and
+canonicalises each reading once.
 """
 
 from __future__ import annotations
@@ -236,11 +239,12 @@ def update_after_extraction(state: EnumState, changed: set[int]) -> None:
     """Refresh the index once an extraction has been applied to
     ``state.graph``: drop every entry that holds a node of ``changed``
     and register afresh every set the search from those nodes reaches.
-    ``changed`` is what ``engine.extract_one`` returns, every node whose
-    adjacency the extraction changed.  A set holding none of them has the
-    same members' adjacency, so the same analysis and connectivity, and
-    keeps its entry; with the shortcut off the index therefore ends as a
-    full rebuild on the mutated graph would leave it."""
+    ``changed`` is what ``engine.extract_one`` returns: the extracted set,
+    every edit's external and every external tied to two or more members.
+    A set holding none of them reads the same, at most with one external
+    renamed to the survivor, so it has the same analysis and connectivity
+    and keeps its entry; with the shortcut off the index therefore ends
+    as a full rebuild on the mutated graph would leave it."""
     state.remove_touching(changed)
     for _ in enumerate_connected_sets(state, changed):
         pass

@@ -255,6 +255,28 @@ def test_extraction_independent_of_hash_seed():
     assert len(json.loads(outputs[0])["records"]) > 0
 
 
+@pytest.mark.parametrize(
+    "graph, config, calls",
+    [
+        # Before externals tied to one member left ``changed``: 18,768,
+        # 61,556 and 15,673 calls.
+        (gen_er(200, 600, 1), ExtractConfig(k_min=2, k_max=3, shortcut_s=1), 12_077),
+        (gen_er(200, 600, 1), ExtractConfig(k_min=2, k_max=3, shortcut_s=None), 36_338),
+        (gen_binary_tree(1000), ExtractConfig(k_min=2, k_max=5, shortcut_s=1), 12_891),
+    ],
+    ids=["er_s1", "er_off", "tree"],
+)
+def test_register_calls_per_extraction(graph, config, calls):
+    """The number of sets one extraction registers, the initial
+    enumeration included, is pinned: an update that revisits more sets
+    than the changed nodes hold shows here first."""
+    with mock.patch.object(
+        EnumState, "register", autospec=True, side_effect=EnumState.register
+    ) as register:
+        extract(graph, config)
+    assert register.call_count == calls
+
+
 def test_extraction_index_dies_when_extract_returns():
     """No reference cycle holds an extraction's index: with the cyclic
     collector off, the ``EnumState`` is freed by the time ``extract``

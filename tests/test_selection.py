@@ -4,13 +4,13 @@ iteration of a real extraction on small random ER graphs."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import filled_index, naive_set_read
+from conftest import filled_index, is_weakly_connected, naive_set_read
 from vrgc import engine
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
@@ -200,6 +200,25 @@ def test_suspended_update_keeps_and_rebuilds_on_a_tree():
     assert kept > 0 and analysed > 0
 
 
+def tied_members(graph, nodes, x):
+    """How many members of ``nodes`` the external ``x`` points at, and how
+    many point at ``x``."""
+    return (
+        sum(x in graph.in_adj[v] for v in nodes),
+        sum(x in graph.out_adj[v] for v in nodes),
+    )
+
+
+def set_reading(graph, nodes):
+    """What the index keeps of a set: its cost, rows and each side's
+    minimizing masks, plus each side's sorted pattern values."""
+    a = analyze_set(graph, nodes)
+    return (
+        a.cost, a.adj, a.i_masks, a.o_masks,
+        sorted(a.in_pats.values()), sorted(a.out_pats.values()),
+    )
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(g=small_graphs(), k_max=st.integers(2, 8), shortcut=st.sampled_from([0, 1, None]))
 @example(g=gen_er(10, 20, 2), k_max=8, shortcut=None)
@@ -207,24 +226,69 @@ def test_suspended_update_keeps_and_rebuilds_on_a_tree():
 @example(g=gen_ring_lattice(11, 4), k_max=8, shortcut=0)
 def test_changed_holds_every_node_whose_adjacency_changed(g, k_max, shortcut):
     """The update revisits only the sets that hold a node of ``changed``,
-    so every node whose in- or out-adjacency an extraction changes must be
-    in ``changed``; and ``changed`` lies within the extracted set and its
-    neighbours before the extraction."""
+    and ``changed`` lies within the extracted set and its neighbours before
+    the extraction.  Every node whose in- or out-adjacency an extraction
+    changes is in ``changed``, or is an external tied on each side to at
+    most one member and named by no edit, whose adjacency afterwards is
+    its adjacency before with that member renamed to the survivor.  Every
+    weakly connected set of 2 to ``k_max`` active nodes that holds no node
+    of ``changed`` reads the same before and after: cost, rows, masks and
+    sorted pattern values."""
     real = engine.extract_one
     calls = []
 
     def checked(graph, choice):
-        before = {v: (set(graph.in_adj[v]), set(graph.out_adj[v])) for v in graph.active}
-        near = set(choice.nodes).union(*(graph.neighbors(v) for v in choice.nodes))
+        nodes = choice.nodes
+        before = graph.copy()
+        near = set(nodes).union(*(graph.neighbors(v) for v in nodes))
         record, changed = real(graph, choice)
-        differ = {v for v, adj in before.items() if adj != (graph.in_adj[v], graph.out_adj[v])}
-        assert differ <= changed <= near
+        assert changed <= near
+        externals = {e for _, e, _ in record.edits}
+        renamed = {v: record.survivor for v in nodes}
+        for v in before.active - changed:
+            ins, outs = graph.in_adj[v], graph.out_adj[v]
+            if (ins, outs) == (before.in_adj[v], before.out_adj[v]):
+                continue
+            assert v not in externals and max(tied_members(before, nodes, v)) == 1
+            assert ins == {renamed.get(u, u) for u in before.in_adj[v]}
+            assert outs == {renamed.get(w, w) for w in before.out_adj[v]}
+        untouched = sorted(graph.active - changed)
+        for k in range(2, k_max + 1):
+            for t in combinations(untouched, k):
+                if is_weakly_connected(before, set(t)) or is_weakly_connected(graph, set(t)):
+                    assert set_reading(before, t) == set_reading(graph, t)
         calls.append(choice)
         return record, changed
 
     with mock.patch.object(engine, "extract_one", checked):
         res = engine.extract(g, ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut))
     assert len(calls) == res.iterations
+
+
+def test_renamed_external_keeps_its_entries():
+    """Three copies of ``a -> b <- x <- y``: the first extraction takes
+    ``(a, b)`` of the first copy, whose external ``x`` points only at the
+    non-survivor ``b``, exactly the in-side mask.  The collapse moves
+    ``x``'s edge from ``b`` to ``a``, yet ``x`` is not in ``changed``, and
+    the entry of ``(x, y)`` survives the update as the same object; the
+    index then equals a rebuild."""
+    g = DiGraph.from_edges(
+        12, [e for i in range(0, 12, 4) for e in ((i, i + 1), (i + 2, i + 1), (i + 3, i + 2))]
+    )
+    config = ExtractConfig(k_min=2, k_max=2, shortcut_s=None)
+    state = filled_index(g, config)
+    choice = engine.select_best(state)
+    assert choice.nodes == (0, 1)
+    analysis = analyze_set(g, choice.nodes)
+    assert analysis.in_pats == {2: 0b10} and analysis.i_masks == (0b10,)
+    entry = state.entries[(2, 3)]
+    record, changed = engine.extract_one(g, choice)
+    assert record.edits == ()
+    assert changed == {0, 1}
+    assert g.out_adj[2] == {0}
+    engine.update_after_extraction(state, changed)
+    assert state.entries[(2, 3)] is entry
+    assert snapshot(state) == snapshot(filled_index(g, config))
 
 
 def first_pairs(graph, nodes):
@@ -287,8 +351,8 @@ def test_registration_matches_rule_oracle(g, k_max, shortcut):
     binary trees with ``k_max`` 2 to 8, whose fragments of every size
     registration looks up on their canonical rows.  The changed nodes
     ``extract_one`` hands to the update are the record's node ids, the
-    edits' externals and every external tied to a member other than the
-    survivor before the extraction."""
+    edits' externals and every external tied to two or more members on a
+    side before the extraction."""
     config = ExtractConfig(k_min=2, k_max=k_max, shortcut_s=shortcut)
     assert_registered_like_oracle(filled_index(g, config), g)
 
@@ -303,14 +367,13 @@ def test_registration_matches_rule_oracle(g, k_max, shortcut):
 
     def checked_extract(graph, choice):
         expected = expected_record(graph, choice)
-        survivor = min(choice.nodes)
-        tied_elsewhere = {
-            x for v in choice.nodes if v != survivor for x in graph.neighbors(v)
-        } - set(choice.nodes)
+        nodes = choice.nodes
+        near = set().union(*(graph.neighbors(v) for v in nodes)) - set(nodes)
+        tied_twice = {x for x in near if max(tied_members(graph, nodes, x)) >= 2}
         record, changed = real_extract(graph, choice)
         assert record == expected
         externals = {e for _, e, _ in record.edits}
-        assert changed == set(record.node_ids) | externals | tied_elsewhere
+        assert changed == set(record.node_ids) | externals | tied_twice
         return record, changed
 
     with (
