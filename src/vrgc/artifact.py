@@ -91,14 +91,17 @@ def result_from_obj(obj: dict) -> tuple[ExtractionResult, dict]:
             freed.update(ids)
             freed.discard(min(ids))
         active = set(res["active"])
-        # a necessary condition of the check below, which builds O(n0) sets
-        if len(active) + len(freed) != res["n0"] or active != set(range(res["n0"])) - freed:
-            raise ArtifactInvalid("residual active ids are not the ids that no record frees")
+        unfreed = "residual active ids are not the ids that no record frees"
+        # the counts first, before DiGraph(n0) builds sets of n0 ids
+        if len(active) + len(freed) != res["n0"]:
+            raise ArtifactInvalid(unfreed)
+        residual = DiGraph(res["n0"])
+        residual.active -= freed
+        if residual.active != active:
+            raise ArtifactInvalid(unfreed)
         grammar, records = used_grammar(codes, records)
         if grammar.codes != codes:
             raise ArtifactInvalid("the artifact stores a rule that no record uses")
-        residual = DiGraph(res["n0"])
-        residual.active = active
         edges = list(map(tuple, res["edges"]))
         for u, v in edges:
             residual.add_edge(u, v)
@@ -123,7 +126,7 @@ def _record_from_obj(r: dict, codes: list[bytes], n0: int) -> ApplicationRecord:
     """One stored record, checked against what replay trusts: a stored
     rule id, exactly ``k`` distinct node ids below ``n0``, and edits at
     fragment positions ``0..k-1`` in a known direction, each to an id
-    below ``n0`` outside the fragment."""
+    below ``n0`` outside the fragment.  Replay checks none of these again."""
     rid = r["rule_id"]
     if type(rid) is not int or not 0 <= rid < len(codes):
         raise ArtifactInvalid(f"record names unknown rule id {rid!r}")

@@ -38,7 +38,7 @@ from .mdl import (
     default_params,
     pcr,
 )
-from .rules import RuleLibrary, apply_rule, canonical_form
+from .rules import RuleLibrary, canonical_form
 
 
 class StaleCandidate(Exception):
@@ -218,15 +218,10 @@ def _toggle_edits(graph: DiGraph, record: ApplicationRecord) -> None:
     """Toggle a record's edits in one ``toggle_edges`` batch: extraction
     makes them and replay undoes them with the same call."""
     node_ids = record.node_ids
-    pairs = []
-    for position, external, direction in record.edits:
-        if direction == "in":
-            pairs.append((external, node_ids[position]))
-        elif direction == "out":
-            pairs.append((node_ids[position], external))
-        else:
-            raise CorruptRecord(f"bad edit direction {direction!r}")
-    graph.toggle_edges(pairs)
+    graph.toggle_edges(
+        (external, node_ids[p]) if direction == "in" else (node_ids[p], external)
+        for p, external, direction in record.edits
+    )
 
 
 def extract(graph: DiGraph, config: ExtractConfig) -> ExtractionResult:
@@ -335,18 +330,18 @@ def decode(result: ExtractionResult) -> DiGraph:
 
 
 def replay(residual: DiGraph, records: list[ApplicationRecord], library: RuleLibrary) -> DiGraph:
-    """Replay records newest first, regrowing each collapsed fragment from
-    its rule code at the record's survivor and then re-toggling its
-    recorded edits."""
+    """Replay records newest first, regrowing each collapsed fragment at
+    its survivor with ``DiGraph.expand`` and re-toggling its edits.  It
+    trusts the records' fields and the codes, which ``extract`` makes valid
+    and the loader checks once; ``expand`` and ``toggle_edges`` check the
+    graph at each step, and every fault ends in ``CorruptRecord``."""
     g = residual.copy()
+    codes = library.codes
     for record in reversed(records):
-        if not 0 <= record.rule_id < len(library.codes):
-            raise CorruptRecord(f"unknown rule id {record.rule_id}")
         try:
-            apply_rule(g, library.codes[record.rule_id], record.node_ids)
+            code = codes[record.rule_id]
+            g.expand(record.node_ids, code[3:], code[1], code[2])
             _toggle_edits(g, record)
-        except CorruptRecord:
-            raise
         except Exception as exc:
             raise CorruptRecord(f"replay failed at rule {record.rule_id}: {exc}") from exc
     return g

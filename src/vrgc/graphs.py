@@ -10,8 +10,8 @@ fragment rows and boundary masks of the set collapsed into it restores
 the graph as it was before the collapse.  Both keep the invariant that an
 inactive id has no edges, as do ``add_edge`` and ``toggle_edges``, which
 check both endpoints, and the artifact loader, which adds the residual's
-edges with ``add_edge``.  ``expand`` relies on the invariant to write the
-regrown fragment's edges without a check per edge.
+edges with ``add_edge``.  ``expand`` checks the survivor's state, then
+relies on the invariant to write the fragment's edges unchecked.
 """
 
 from __future__ import annotations
@@ -166,14 +166,18 @@ class DiGraph:
         ``rows[p]`` is the edge ``node_ids[p] -> node_ids[j]``.  The
         survivor's in-neighbours get an edge to every id whose bit is set in
         ``i_mask``, its out-neighbours one from every id set in ``o_mask``.
-        The edges are written without a check: the caller
-        (``rules.apply_rule``) checks that the survivor is the only active
-        id and that no row has its own bit, so, inactive ids having no
-        edges, every neighbour is active and outside ``node_ids``.
+        ``GraphError`` before any write unless the survivor is the only
+        active id and has no edges on a side whose mask is 0; inactive ids
+        having no edges, the edges are then written unchecked.  The caller
+        passes ``k`` distinct ids and ``k`` rows with no self-loop.
         """
         survivor = min(node_ids)
-        survivor_bit = 1 << node_ids.index(survivor)
         out_adj, in_adj = self.out_adj, self.in_adj
+        if self.active.intersection(node_ids) != {survivor}:
+            raise GraphError(f"of ids {node_ids}, the survivor {survivor} alone must be active")
+        if in_adj[survivor] and not i_mask or out_adj[survivor] and not o_mask:
+            raise GraphError(f"survivor {survivor} has edges on a side the rule has no mask for")
+        survivor_bit = 1 << node_ids.index(survivor)
         for mask, near, far in ((i_mask, in_adj, out_adj), (o_mask, out_adj, in_adj)):
             nbrs = near[survivor]
             if not mask & survivor_bit:  # else its boundary edges stay as they are

@@ -11,6 +11,8 @@ A rule exists only as its code of ``k + 3`` bytes: ``k``, ``i_mask``,
 ``o_mask``, then one byte per adjacency row, all in canonical position
 order.  ``check_codes`` rejects a code of any other length, a code of no
 valid fragment, and a code that is not the canonical code of its rule.
+It is the one check of a stored code: ``engine.replay`` passes a code's
+rows and masks straight to ``DiGraph.expand``, which trusts them.
 
 Canonical codes are computed on the fields ``(k, adj, i_mask, o_mask)``
 and memoized in ``canonical_form``'s ``lru_cache`` under that tuple, so a
@@ -34,13 +36,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .graphs import DiGraph
-
 K_HARD_MAX = 8
-
-# Bit ``p`` of row ``p``, the self-loop at position ``p``, is bit ``9 * p``
-# of the rows read as one little-endian integer.
-_SELF_LOOPS = sum(1 << 9 * p for p in range(K_HARD_MAX))
 
 
 class RuleError(Exception):
@@ -261,37 +257,3 @@ def rule_to_dot(code: bytes, name: str = "rule") -> str:
             lines.append(f"  n{v} -> out{v} [color=red, style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# -- forward application (the decoder's grow step) -------------------------
-
-
-def apply_rule(graph: DiGraph, code: bytes, node_ids: tuple[int, ...]) -> None:
-    """Regrow the fragment ``code`` stores at the survivor ``min(node_ids)``, in place.
-
-    ``node_ids[p]`` is the id at canonical position ``p``; the others must be
-    free.  The survivor's in-neighbors are rewired to every i-marked
-    fragment node, its out-neighbors to every o-marked one.  Every check is
-    made once, before any change, raising ``RuleError``: the code is
-    ``k + 3`` bytes (``check_codes`` or ``canonical_form`` made the rest of
-    it valid); there are ``k`` distinct ids; the survivor is the only active
-    one; no side without a mask has edges; and no row has its own bit.
-    ``DiGraph.expand`` then writes the edges with no check per edge, for
-    none can fail: the fragment edges join distinct ids it has just
-    activated, and since an inactive id has no edges, each of the
-    survivor's neighbors is active and not in ``node_ids``.
-    """
-    k, i_mask, o_mask = code[:3]
-    if len(code) != k + 3:
-        raise RuleError(f"rule code {code.hex()} is not {k + 3} bytes")
-    if len(node_ids) != k or len(set(node_ids)) != k:
-        raise RuleError(f"need {k} distinct ids, got {node_ids}")
-    survivor = min(node_ids)
-    if graph.active.intersection(node_ids) != {survivor}:
-        raise RuleError(f"of ids {node_ids}, the survivor {survivor} alone must be active")
-    if graph.in_adj[survivor] and not i_mask or graph.out_adj[survivor] and not o_mask:
-        raise RuleError(f"survivor {survivor} has edges on a side the rule has no mask for")
-    rows = code[3:]
-    if int.from_bytes(rows, "little") & _SELF_LOOPS:
-        raise RuleError(f"rule code {code.hex()} has a self-loop")
-    graph.expand(node_ids, rows, i_mask, o_mask)

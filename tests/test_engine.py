@@ -347,39 +347,6 @@ def test_replay_rejects_bad_rule_id(demo6):
         replay(res.residual, res.records[:-1] + [bad], res.grammar)
 
 
-@pytest.mark.parametrize("where", ["negative", "past_end"])
-def test_replay_rejects_out_of_range_rule_id(where):
-    """To Python ``codes[-1]`` is the last rule, so a record naming it by
-    -1 would replay exactly; replay must still reject the id."""
-    g = gen_binary_tree(127)
-    res, _ = result_from_obj(result_to_obj(extract(g, ExtractConfig(k_min=2, k_max=5))))
-    last = len(res.grammar.codes) - 1
-    i = next(i for i, r in enumerate(res.records) if r.rule_id == last)
-    records = list(res.records)
-    rule_id = -1 if where == "negative" else last + 1
-    records[i] = ApplicationRecord(rule_id, records[i].node_ids, records[i].edits)
-    with pytest.raises(CorruptRecord):
-        replay(res.residual, records, res.grammar)
-
-
-def test_replay_rejects_colliding_ids(demo6):
-    res = extract(demo6, ExtractConfig(k_min=2, k_max=2))
-    last = res.records[-1]
-    dup = (last.survivor,) * len(last.node_ids)
-    bad = ApplicationRecord(last.rule_id, dup, last.edits)
-    with pytest.raises(CorruptRecord):
-        replay(res.residual, res.records[:-1] + [bad], res.grammar)
-
-
-def test_replay_rejects_truncated_rule_code(demo6):
-    """A grammar code that lost its last byte is no rule; replay reports it
-    as ``CorruptRecord`` like every other replay fault."""
-    res = extract(demo6, ExtractConfig(k_min=2, k_max=2))
-    res.grammar.codes[0] = res.grammar.codes[0][:-1]
-    with pytest.raises(CorruptRecord, match="replay failed at rule 0"):
-        decode(res)
-
-
 def test_replay_rejects_edit_to_an_inactive_id():
     """An edit may name an id that the loader accepts (below ``n0``,
     outside its record) but that is inactive when its record is replayed:

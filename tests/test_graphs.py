@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import DEMO6_EDGES, naive_set_read, random_digraph
 from vrgc.graphs import DiGraph, GraphError, parse_edge_list
+from vrgc.rules import canonical_form
 
 
 def test_from_edges_and_counts(demo6):
@@ -92,6 +93,49 @@ def test_collapse_boundary_property(seed):
     assert survivor.out_adj[s] == {w for w, _ in out_pats}
     for v in nodes - {s}:
         assert v not in survivor.active
+
+
+def test_expand_rewires_boundary():
+    g = DiGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    # raw positions (1, 2): x -> y, x inherits ins, y inherits outs
+    code, perm = canonical_form(2, (2, 0), 0b01, 0b10)
+    g.collapse({1, 2})  # make id 2 free, survivor 1
+    g.expand(tuple((1, 2)[old] for old in perm), code[3:], code[1], code[2])
+    assert g.has_edge(1, 2)
+    assert g.has_edge(0, 1)
+    assert g.has_edge(2, 3)
+    assert not g.has_edge(1, 3)
+
+
+def test_expand_regrows_at_the_smallest_id():
+    """The survivor is ``min(node_ids)`` wherever it sits in canonical
+    order: regrowing a collapsed set from its code restores the graph."""
+    before = DiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    nodes = (1, 2, 3)
+    # raw positions follow ``nodes``: 1 -> 2 -> 3, 1 inherits the in-edge, 3 the out-edge
+    code, perm = canonical_form(3, (0b010, 0b100, 0), 0b001, 0b100)
+    node_ids = tuple(nodes[old] for old in perm)
+    assert node_ids == (2, 3, 1)
+    g = before.copy()
+    g.collapse(set(nodes))
+    g.expand(node_ids, code[3:], code[1], code[2])
+    assert g == before
+
+
+def test_expand_checks_the_survivor_before_any_write():
+    edges = [(0, 1), (1, 2)]
+    g = DiGraph.from_edges(4, edges)
+    chain = bytes((0b10, 0))  # position 0 -> position 1
+    with pytest.raises(GraphError, match="survivor 1 alone must be active"):
+        g.expand((1, 2), chain, 0b01, 0b10)  # 2 is active
+    g.collapse({1, 2})
+    with pytest.raises(GraphError, match="survivor 2 alone must be active"):
+        g.expand((2, 3), chain, 0b01, 0b10)  # 2 was freed
+    with pytest.raises(GraphError, match="survivor 1 has edges on a side the rule has no mask for"):
+        g.expand((1, 2), chain, 0, 0b10)  # 0 -> 1 and no in-mask
+    collapsed = DiGraph.from_edges(4, edges)
+    collapsed.collapse({1, 2})
+    assert g == collapsed  # no failed call changed the graph
 
 
 def test_parse_edge_list_roundtrip():
