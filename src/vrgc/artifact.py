@@ -10,8 +10,11 @@ rebuilt on load by ``engine.used_grammar``, as in extraction.  So does the bit
 account: the loader keeps only ``original_bits`` from the file, and rejects
 a stored account that differs from the one the codes, records and residual
 give; decoding checks that figure against the decoded graph.  No timing is
-stored and keys are sorted on write, so identical runs produce identical
-bytes.
+stored, so identical runs produce identical bytes.  Every JSON file the
+package writes goes through ``write_json``, in one canonical form: compact
+separators, sorted keys, one line and a final newline.  Whitespace means
+nothing to a JSON parser, so a file indented by hand or by an earlier writer
+(``python -m json.tool`` prints one) loads the same.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ def result_to_obj(result: ExtractionResult, manifest: dict | None = None) -> dic
 
 
 def write_json(path: str | Path, obj: dict) -> None:
-    """Write ``obj`` with sorted keys, indent 2 and a final newline."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` compact, with sorted keys, on one line with a final
+    newline.  With no ``indent``, ``json.dumps`` also runs its C encoder."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def save_artifact(result: ExtractionResult, path: str | Path, manifest: dict | None = None) -> None:

@@ -36,6 +36,26 @@ def test_artifact_bytes_stable(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_artifact_is_compact_and_indented_copies_still_load(tmp_path):
+    """``save_artifact`` writes the one canonical form: compact separators,
+    sorted keys, one line and a final newline.  The same object indented,
+    as artifacts used to be written, loads to the same result and decodes
+    to the source graph, so no schema bump is needed."""
+    graph = gen_er(60, 180, 1)
+    res = extract(graph, ExtractConfig(k_min=2, k_max=3))
+    assert any(r.edits for r in res.records)
+    obj = result_to_obj(res, {"note": "demo"})
+    path = tmp_path / "artifact.json"
+    save_artifact(res, path, manifest={"note": "demo"})
+    assert path.read_text() == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    for stored in (path, indented):
+        loaded, manifest = load_artifact(stored)
+        assert result_to_obj(loaded, manifest) == obj
+        assert decode(loaded) == graph
+
+
 def test_decode_rejects_wrong_original_bits(tmp_path):
     """The loader keeps ``original_bits`` from the file; decoding checks it
     against the decoded graph.  The figure for 500 edges, stored with the

@@ -262,13 +262,15 @@ def test_roundtrip_against_another_graph_exits_3(tmp_path, capsys, edges, differ
 def test_outputs_share_rule_ids(tmp_path):
     """``artifact.json``, ``grammar.json``, ``report.json`` and the
     ``rule_<id>.dot`` files number the rules alike, and list only the rules
-    the records use: three on a 3000-node binary tree at ``kmax`` 7."""
+    the records use: three on a 3000-node binary tree at ``kmax`` 7.  Each
+    JSON file is its object's compact canonical dump."""
     out = tmp_path / "out"
     argv = ["extract", "--generator", "bintree", "--nodes", "3000", "--kmax", "7"]
     assert main(argv + ["--out", str(out), "--emit", "json,dot"]) == 0
-    art = json.loads((out / "artifact.json").read_text())
-    grammar = json.loads((out / "grammar.json").read_text())
-    report = json.loads((out / "report.json").read_text())
+    texts = [(out / name).read_text() for name in ("artifact.json", "grammar.json", "report.json")]
+    art, grammar, report = map(json.loads, texts)
+    for text, obj in zip(texts, (art, grammar, report)):
+        assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     codes = [bytes.fromhex(c) for c in art["grammar"]["codes"]]
     assert len(codes) == len(grammar["rules"]) == 3
     counts = Counter(r["rule_id"] for r in art["records"])
