@@ -168,20 +168,26 @@ class EnumState:
         """Score a node set not in ``entries``, index it and return its
         cost; the search calls it on every set it finds.
 
-        The set is read out of the graph once by ``analyze_set`` and
-        indexed with the codes ``codes_of`` holds for its reading.  On a
-        miss the bare fragment ``(k, adj, 0, 0)`` is canonicalised once,
-        and each minimum-cost mask pair, moved onto the canonical
-        positions, is looked up with ``rules.canonical_code`` on the
-        canonical rows; the codes are interned.  The up to ``k!`` position
-        orders of one shape so share the pair lookups, and the codes are
-        those of the raw fields, in the same order, since a canonical code
-        is the same for every relabelling of a rule, masks included.
-        Nothing is validated (see the ``rules`` module docstring).
-        ``codes_of`` lives as long as the index, so clearing the
-        ``lru_cache``s of ``rules.canonical_form`` and
-        ``mdl._side_minima`` (as the benchmark does before each round)
-        starts each extraction's registration cold.
+        The set is read out of the graph once by ``analyze_set``, whose
+        ``_side_minima`` scores every mask of a side with one packed sum
+        of per-pattern cost vectors, and indexed with the codes
+        ``codes_of`` holds for its reading.  On a miss the bare fragment
+        ``(k, adj, 0, 0)`` is canonicalised once, and each minimum-cost
+        mask pair, moved onto the canonical positions, is looked up with
+        ``rules.canonical_code`` on the canonical rows; the codes are
+        interned.  The up to ``k!`` position orders of one shape so share
+        the pair lookups, and the codes are those of the raw fields, in
+        the same order, since a canonical code is the same for every
+        relabelling of a rule, masks included.  They also share the
+        candidate search of the bare fragment: ``canonical_form`` relabels
+        a bare fragment into invariant order and looks the sorted key up,
+        so the orders that sort to one key search it once.  Nothing is
+        validated (see the ``rules`` module docstring).  ``codes_of``
+        lives as long as the index, so clearing the ``lru_cache``s of
+        ``rules.canonical_form`` and ``mdl._side_minima`` (as the
+        benchmark does before each round) starts each extraction's
+        registration cold; only ``mdl._mask_costs``, at most one cost
+        vector per pattern and size, stays warm.
         """
         for v in nodes:
             self.by_node[v].append(nodes)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .graphs import DiGraph
 
@@ -49,29 +50,61 @@ class SetAnalysis:
     o_masks: tuple[int, ...]
 
 
+@lru_cache(maxsize=512)
+def _mask_costs(p: int, k: int) -> int:
+    """The cost of one external with pattern ``p`` under every mask of
+    ``k`` positions, packed one byte per mask: byte ``m`` is the cheaper
+    of rewiring (``popcount(p ^ m)``) and detaching (``popcount(p)``), at
+    most ``k``.  Keyed by ``(p, k)`` alone, so it holds at most
+    ``2**k`` entries per ``k``: 508 for ``k <= 8``, filled on first use."""
+    detach = p.bit_count()
+    costs = bytes([min((p ^ m).bit_count(), detach) for m in range(1 << k)])
+    return int.from_bytes(costs, "little")
+
+
+def _positions(values: bytes, value: int) -> list[int]:
+    """Every index of ``value`` in ``values``, ascending."""
+    found = []
+    i = values.find(value)
+    while i >= 0:
+        found.append(i)
+        i = values.find(value, i + 1)
+    return found
+
+
 @lru_cache(maxsize=1 << 18)
 def _side_minima(patterns: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...]]:
     """Minimum cost over all masks for one boundary side, with every
-    minimizing mask.  ``patterns`` is the sorted multiset of external
-    bitmasks.
+    minimizing mask, ascending.  ``patterns`` is the sorted multiset of
+    external bitmasks.
 
     Each external costs the cheaper of its two repairs: rewiring it to the
-    mask (the bits that differ) or detaching it (the bits it has).
+    mask (the bits that differ) or detaching it (the bits it has).  The
+    side's cost under every mask is one packed sum: a field of ``width``
+    bytes per mask, wide enough for ``k`` per external, so no field
+    carries into the next.  The per-pattern vectors of ``_mask_costs``
+    have one-byte fields, so they are summed ``255 // k`` at a time and
+    each partial sum is spread onto the wide fields.  The masks minimal
+    on the most significant byte of each field are then narrowed down
+    byte by byte.
     """
-    costed = list(zip(patterns, [p.bit_count() for p in patterns]))
-    best = None
-    argmin: list[int] = []
-    for mask in range(1 << k):
-        c = 0
-        for p, detach in costed:
-            rewire = (p ^ mask).bit_count()
-            c += rewire if rewire < detach else detach
-        if best is None or c < best:
-            best = c
-            argmin = [mask]
-        elif c == best:
-            argmin.append(mask)
-    return best, tuple(argmin)
+    size = 1 << k
+    width = (k * len(patterns)).bit_length() // 8 + 1
+    step = 255 // k
+    spread = bytearray(width * size)
+    total = 0
+    for start in range(0, len(patterns), step):
+        part = sum(map(_mask_costs, patterns[start:start + step], repeat(k)))
+        spread[::width] = part.to_bytes(size, "little")
+        total += int.from_bytes(spread, "little")
+    packed = total.to_bytes(width * size, "little")
+    plane = packed[width - 1::width]
+    argmin = _positions(plane, min(plane))
+    for b in reversed(range(width - 1)):
+        plane = bytes([packed[m * width + b] for m in argmin])
+        argmin = [argmin[i] for i in _positions(plane, min(plane))]
+    first = argmin[0] * width
+    return int.from_bytes(packed[first:first + width], "little"), tuple(argmin)
 
 
 def analyze_set(graph: DiGraph, nodes: tuple[int, ...]) -> SetAnalysis:

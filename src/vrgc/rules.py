@@ -16,19 +16,24 @@ rows and masks straight to ``DiGraph.expand``, which trusts them.
 
 Canonical codes are computed on the fields ``(k, adj, i_mask, o_mask)``
 and memoized in ``canonical_form``'s ``lru_cache`` under that tuple, so a
-repeated lookup allocates nothing.  Registration keys it by shape: the bare
-fragment ``(k, adj, 0, 0)``, whose code gives the fragment's canonical
-rows, and each mask pair moved onto those rows; each index keeps which
-codes a reading gave (``enumeration.EnumState.codes_of``).  A miss does not
-validate the fragment, because no caller can pass an invalid one: the
-enumeration registers only weakly connected sets of a graph with no
-self-loops; ``extract_one`` compares the code of the set it re-reads with
-the chosen one, and a stale set that came apart has disconnected rows, so
-its code equals no registered code and it raises ``StaleCandidate``; and
-``check_codes`` validates each stored code before it canonicalises it.
-That cache is the only memo of canonicalization that outlives an
-extraction: ``canonical_form.cache_clear()``, which the benchmark calls
-before each round, starts it cold.
+repeated lookup allocates nothing.  Registration keys it by shape: the
+bare fragment ``(k, adj, 0, 0)``, whose code gives the fragment's
+canonical rows, and each mask pair moved onto those rows; each index keeps
+which codes a reading gave (``enumeration.EnumState.codes_of``).  A bare
+fragment's miss sorts its positions by invariant and, when some of them
+tie, looks the sorted fragment up in the same cache, so the many position
+orders of one shape that a relabelled graph presents share one candidate
+search (McKay's canonical labelling refines by invariants first and
+searches only inside tied groups).  A miss does not validate the fragment,
+because no caller can pass an invalid one: the enumeration registers only
+weakly connected sets of a graph with no self-loops; ``extract_one``
+compares the code of the set it re-reads with the chosen one, and a stale
+set that came apart has disconnected rows, so its code equals no
+registered code and it raises ``StaleCandidate``; and ``check_codes``
+validates each stored code before it canonicalises it.  That cache is the
+only memo of canonicalization that outlives an extraction:
+``canonical_form.cache_clear()``, which the benchmark calls before each
+round, starts it cold.
 """
 
 from __future__ import annotations
@@ -46,18 +51,13 @@ class RuleError(Exception):
 # -- canonicalization ------------------------------------------------------
 
 
-def _candidate_perms(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int):
-    """Permutations compatible with the invariant-sorted position order.
+def _invariant_order(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int):
+    """Each position's (i, o, out-degree, in-degree) invariant, and the
+    positions stably sorted by it.
 
-    Returns an iterable of tuples ``perm`` with ``perm[new_pos] = old_pos``.
-    Positions are grouped by the (i, o, out-degree, in-degree) invariant;
-    only permutations within equal-invariant groups can alter the
-    serialization, so the search is the product of within-group
-    arrangements, and the invariant order alone when every group is a
-    singleton.
+    Each invariant tuple is packed into one int that sorts the same way:
+    degrees are at most 7 (k <= 8, no self-loops), so three bits each.
     """
-    # Each invariant tuple is packed into one int that sorts the same way:
-    # degrees are at most 7 (k <= 8, no self-loops), so three bits each.
     invariant = [
         (i_mask >> v & 1) << 7 | (o_mask >> v & 1) << 6 | row.bit_count() << 3
         for v, row in enumerate(adj)
@@ -67,14 +67,39 @@ def _candidate_perms(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int):
             low = row & -row
             invariant[low.bit_length() - 1] += 1
             row ^= low
-    order = sorted(range(k), key=invariant.__getitem__)
-    if len(set(invariant)) == k:
-        return (tuple(order),)
+    return invariant, sorted(range(k), key=invariant.__getitem__)
+
+
+def _candidate_perms(invariant: list[int], order: list[int]):
+    """Permutations compatible with the invariant-sorted position order.
+
+    Returns an iterable of tuples ``perm`` with ``perm[new_pos] = old_pos``.
+    Only permutations within equal-invariant groups can alter the
+    serialization, so the search is the product of within-group
+    arrangements of ``order``, each group in its order there.
+    """
     groups = [tuple(g) for _, g in itertools.groupby(order, key=invariant.__getitem__)]
     return (
         tuple(itertools.chain.from_iterable(combo))
         for combo in itertools.product(*map(itertools.permutations, groups))
     )
+
+
+def _relabel_rows(adj: tuple[int, ...], perm) -> tuple[int, ...]:
+    """The rows of ``adj`` with new position ``n`` holding old position
+    ``perm[n]``."""
+    bit = [0] * len(perm)
+    for new, old in enumerate(perm):
+        bit[old] = 1 << new
+    rows = []
+    for old in perm:
+        row, acc = adj[old], 0
+        while row:
+            low = row & -row
+            acc |= bit[low.bit_length() - 1]
+            row ^= low
+        rows.append(acc)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -92,11 +117,28 @@ def canonical_form(
     docstring): bits must lie inside ``k``, and only a weakly connected
     fragment without self-loops gets the code of a rule.
 
+    A bare fragment (both masks 0) whose invariants tie and whose
+    positions are not already in invariant order is relabelled into that
+    order, and its form is the sorted fragment's, looked up through this
+    same cache, with the permutation composed back onto the original
+    positions.  This is exact, permutation included: the candidates of
+    the two fragments correspond one to one, in the same order, and each
+    pair builds the same rows.  So every position order of one bare shape
+    that sorts to the same fragment shares one search.
+
     Each candidate's rows are built in position order and compared with the
     best rows so far; the candidate is abandoned at its first greater row.
     """
+    invariant, order = _invariant_order(k, adj, i_mask, o_mask)
+    if len(set(invariant)) == k:
+        candidates = (tuple(order),)
+    elif not (i_mask or o_mask) and order != list(range(k)):
+        code, perm = canonical_form(k, _relabel_rows(adj, order), 0, 0)
+        return code, tuple([order[q] for q in perm])
+    else:
+        candidates = _candidate_perms(invariant, order)
     best_rows = best_perm = None
-    for perm in _candidate_perms(k, adj, i_mask, o_mask):
+    for perm in candidates:
         bit = [0] * k
         for new, old in enumerate(perm):
             bit[old] = 1 << new

@@ -28,6 +28,13 @@ def random_digraph(rng: random.Random, n: int, m: int) -> DiGraph:
     return g
 
 
+def relabelled(graph: DiGraph, seed: int) -> DiGraph:
+    """``graph`` with its node ids shuffled by ``seed``."""
+    label = list(range(graph.n0))
+    random.Random(seed).shuffle(label)
+    return DiGraph.from_edges(graph.n0, ((label[u], label[v]) for u, v in graph.edges()))
+
+
 def filled_index(graph: DiGraph, config: ExtractConfig) -> EnumState:
     """An occurrence index filled by one full enumeration of ``graph``."""
     state = EnumState(graph, config)

@@ -112,6 +112,49 @@ def test_deletion_preferred_on_ties(demo6):
     assert demo6.has_edge(4, 3)  # so the one toggle of external 4 deletes
 
 
+def reference_side_minima(patterns, k):
+    """``_side_minima`` as a loop over every mask and every pattern, as it
+    was before the packed sums, frozen here as an oracle."""
+    costed = list(zip(patterns, [p.bit_count() for p in patterns]))
+    best = None
+    argmin = []
+    for mask in range(1 << k):
+        c = 0
+        for p, detach in costed:
+            rewire = (p ^ mask).bit_count()
+            c += rewire if rewire < detach else detach
+        if best is None or c < best:
+            best = c
+            argmin = [mask]
+        elif c == best:
+            argmin.append(mask)
+    return best, tuple(argmin)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), k=st.integers(2, 8))
+def test_side_minima_matches_reference(data, k):
+    """Random multisets of nonzero patterns, sorted as ``analyze_set``
+    passes them, the empty side included."""
+    patterns = data.draw(st.lists(st.integers(1, (1 << k) - 1), max_size=3 * k))
+    patterns = tuple(sorted(patterns))
+    assert _side_minima.__wrapped__(patterns, k) == reference_side_minima(patterns, k)
+
+
+@pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+def test_side_minima_matches_reference_on_a_hub(share):
+    """A side of 320 externals at k 8 sums to more than 255 under some
+    masks, so one-byte fields would carry into their neighbours.  ``share``
+    of the externals point at every position, the rest at random ones."""
+    rng = random.Random(share)
+    full = (1 << 8) - 1
+    patterns = tuple(
+        sorted(full if rng.random() < share else rng.randrange(1, full + 1) for _ in range(320))
+    )
+    assert sum(p.bit_count() for p in patterns) > 255  # the cost of mask 0
+    assert _side_minima.__wrapped__(patterns, 8) == reference_side_minima(patterns, 8)
+
+
 def test_side_minima_without_patterns_keeps_every_mask():
     # With no externals every mask costs 0, so every mask is a minimiser.
     for k in range(2, 9):

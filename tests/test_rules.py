@@ -152,6 +152,26 @@ def test_canonical_form_matches_reference(rule):
     assert canonical_form(*rule) == reference_canonical_form(rule)
 
 
+@st.composite
+def bare_fragments_in_random_order(draw):
+    """A weakly connected fragment with both masks 0, its positions in a
+    random order: with no mask bits to tell them apart, positions tie on
+    their invariants, and the order is rarely the invariant order."""
+    k, adj, _, _ = draw(connected_rules())
+    return permute((k, adj, 0, 0), draw(st.permutations(range(k))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule=bare_fragments_in_random_order())
+def test_canonical_form_of_bare_fragment_matches_reference(rule):
+    """A bare fragment with tied invariants is relabelled into invariant
+    order and takes the sorted fragment's form; the permutation composed
+    back onto the original positions must be the reference's, not just
+    the code.  The cache is cleared so that the relabelling runs."""
+    canonical_form.cache_clear()
+    assert canonical_form(*rule) == reference_canonical_form(rule)
+
+
 def symmetric_fragments(k):
     ring = tuple(1 << (v + 1) % k for v in range(k))
     window = tuple(((1 << v + 1) | (1 << v + 2)) & ((1 << k) - 1) for v in range(k))

@@ -2,7 +2,6 @@
 registration, each checked against a full-recomputation oracle at every
 iteration of a real extraction on small random ER graphs."""
 
-import random
 from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
@@ -10,7 +9,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import filled_index, is_weakly_connected, naive_set_read
+from conftest import filled_index, is_weakly_connected, naive_set_read, relabelled
 from vrgc import engine
 from vrgc.enumeration import EnumState, ExtractConfig, enumerate_connected_sets
 from vrgc.graphs import DiGraph
@@ -323,13 +322,6 @@ def expected_record(graph, choice):
         tuple(nodes[old] for old in perm),
         tuple((pos[p], external, d) for p, external, d in edits),
     )
-
-
-def relabelled(graph, seed):
-    """``graph`` with its node ids shuffled by ``seed``."""
-    label = list(range(graph.n0))
-    random.Random(seed).shuffle(label)
-    return DiGraph.from_edges(graph.n0, ((label[u], label[v]) for u, v in graph.edges()))
 
 
 @settings(max_examples=40, deadline=None)
