@@ -20,8 +20,11 @@ differently as ``engine.extract_one`` defines them, and re-enumerates
 the sets that hold such a node; every other entry stays as it is, also
 when the collapse renamed one of its externals.  A set's codes are a
 function of its reading, the fragment's adjacency rows and each side's
-minimizing masks, so each index keeps a ``reading -> codes`` table and
-canonicalises each reading once.
+minimizing masks, so each index keeps a ``reading -> codes`` table.  A
+reading it has not seen is canonicalised, and a second table keyed by the
+canonical reading, the bare fragment's canonical code with each mask
+moved onto its positions, answers the other position orders of the same
+shape, so each shape's mask pairs are looked up once per index.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import DiGraph
+from .graphs import _BITS, DiGraph
 from .mdl import analyze_set
-from .rules import K_HARD_MAX, RuleLibrary, canonical_code, canonical_form, relabel_mask
+from .rules import K_HARD_MAX, RuleLibrary, canonical_code, canonical_form
 
 INFINITE_COST = math.inf
 
@@ -143,9 +146,14 @@ class EnumState:
     ``dirty`` collects the codes whose tables changed since rule selection
     last read them; ``keys`` and ``heap`` hold the selection's scores and
     belong to ``engine.select_best``.  ``by_node[v]`` lists the sets in
-    ``entries`` that hold ``v``, each once.  ``codes_of`` maps each reading
-    ``(adj, i_masks, o_masks)`` that registration has canonicalised to its
-    codes.
+    ``entries`` that hold ``v``, each once.  ``codes_of`` maps each raw
+    reading ``(adj, i_masks, o_masks)``, in sorted-node-id positions, that
+    registration has seen to its codes; it answers a set whose rows and
+    masks repeat in the same position order.  ``codes_of_shape`` maps each
+    canonical reading ``(shape, ins, outs)`` to the same codes: ``shape``
+    is the bare fragment's canonical code and ``ins`` and ``outs`` are the
+    masks moved onto its positions, in the raw order.  It answers the other
+    position orders of a shape, which miss ``codes_of``.
     """
 
     def __init__(self, graph: DiGraph, config: ExtractConfig):
@@ -154,6 +162,7 @@ class EnumState:
         self.library = RuleLibrary()
         self.entries: dict[tuple[int, ...], SetEntry] = {}
         self.codes_of: dict[tuple, tuple[bytes, ...]] = {}
+        self.codes_of_shape: dict[tuple, tuple[bytes, ...]] = {}
         self.by_node: list[list[tuple[int, ...]]] = [[] for _ in range(graph.n0)]
         self.tables: dict[bytes, dict[int, set[tuple[int, ...]]]] = {}
         self._cost_counts: dict[int, int] = {}
@@ -172,22 +181,25 @@ class EnumState:
         ``_side_minima`` scores every mask of a side with one packed sum
         of per-pattern cost vectors, and indexed with the codes
         ``codes_of`` holds for its reading.  On a miss the bare fragment
-        ``(k, adj, 0, 0)`` is canonicalised once, and each minimum-cost
-        mask pair, moved onto the canonical positions, is looked up with
-        ``rules.canonical_code`` on the canonical rows; the codes are
-        interned.  The up to ``k!`` position orders of one shape so share
-        the pair lookups, and the codes are those of the raw fields, in
-        the same order, since a canonical code is the same for every
-        relabelling of a rule, masks included.  They also share the
-        candidate search of the bare fragment: ``canonical_form`` relabels
-        a bare fragment into invariant order and looks the sorted key up,
-        so the orders that sort to one key search it once.  Nothing is
-        validated (see the ``rules`` module docstring).  ``codes_of``
-        lives as long as the index, so clearing the ``lru_cache``s of
-        ``rules.canonical_form`` and ``mdl._side_minima`` (as the
-        benchmark does before each round) starts each extraction's
-        registration cold; only ``mdl._mask_costs``, at most one cost
-        vector per pattern and size, stays warm.
+        ``(k, adj, 0, 0)`` is canonicalised, each mask is moved onto the
+        canonical positions, and ``codes_of_shape`` is asked for the
+        canonical reading.  Only when that misses too is each mask pair
+        looked up with ``rules.canonical_code`` on the canonical rows and
+        the codes interned.  So the up to ``k!`` position orders of one
+        shape that carry the same masks share one pair loop, and the codes
+        are those of the raw fields, in the same order, since a canonical
+        code is the same for every relabelling of a rule, masks included,
+        and the masks keep their raw order in the key.  The orders also
+        share the candidate search of the bare fragment:
+        ``canonical_form`` relabels a bare fragment into invariant order
+        and looks the sorted key up, so the orders that sort to one key
+        search it once.  Nothing is validated (see the ``rules`` module
+        docstring).  Both tables live as long as the index, so clearing
+        the ``lru_cache``s of ``rules.canonical_form`` and
+        ``mdl._side_minima`` (as the benchmark does before each round)
+        starts each extraction's registration cold; only
+        ``mdl._mask_costs``, at most one cost vector per pattern and size,
+        and ``mdl.default_params`` stay warm.
         """
         for v in nodes:
             self.by_node[v].append(nodes)
@@ -198,15 +210,29 @@ class EnumState:
         if codes is None:
             k = len(nodes)
             shape, perm = canonical_form(k, adj, 0, 0)
-            rows = tuple(shape[3:])
-            ins = [relabel_mask(i, perm) for i in analysis.i_masks]
-            outs = [relabel_mask(o, perm) for o in analysis.o_masks]
-            codes = tuple(dict.fromkeys(canonical_code(k, rows, i, o) for i in ins for o in outs))
+            bit = [0] * k
+            for new, old in enumerate(perm):
+                bit[old] = 1 << new
+            ins = tuple([sum([bit[j] for j in _BITS[m]]) for m in analysis.i_masks])
+            outs = tuple([sum([bit[j] for j in _BITS[m]]) for m in analysis.o_masks])
+            canonical = (shape, ins, outs)
+            codes = self.codes_of_shape.get(canonical)
+            if codes is None:
+                rows = tuple(shape[3:])
+                codes = tuple(dict.fromkeys(canonical_code(k, rows, i, o) for i in ins for o in outs))
+                self.codes_of_shape[canonical] = codes
+                for code in codes:
+                    self.library.intern_code(code)
             self.codes_of[reading] = codes
-            for code in codes:
-                self.library.intern_code(code)
+        tables = self.tables
         for code in codes:
-            self.tables.setdefault(code, {}).setdefault(cost, set()).add(nodes)
+            levels = tables.get(code)
+            if levels is None:
+                tables[code] = {cost: {nodes}}
+            elif cost in levels:
+                levels[cost].add(nodes)
+            else:
+                levels[cost] = {nodes}
         self.dirty.update(codes)
         self.entries[nodes] = SetEntry(cost, codes)
         self._cost_counts[cost] = self._cost_counts.get(cost, 0) + 1

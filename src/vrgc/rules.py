@@ -18,22 +18,26 @@ Canonical codes are computed on the fields ``(k, adj, i_mask, o_mask)``
 and memoized in ``canonical_form``'s ``lru_cache`` under that tuple, so a
 repeated lookup allocates nothing.  Registration keys it by shape: the
 bare fragment ``(k, adj, 0, 0)``, whose code gives the fragment's
-canonical rows, and each mask pair moved onto those rows; each index keeps
-which codes a reading gave (``enumeration.EnumState.codes_of``).  A bare
-fragment's miss sorts its positions by invariant and, when some of them
-tie, looks the sorted fragment up in the same cache, so the many position
-orders of one shape that a relabelled graph presents share one candidate
-search (McKay's canonical labelling refines by invariants first and
-searches only inside tied groups).  A miss does not validate the fragment,
-because no caller can pass an invalid one: the enumeration registers only
-weakly connected sets of a graph with no self-loops; ``extract_one``
-compares the code of the set it re-reads with the chosen one, and a stale
-set that came apart has disconnected rows, so its code equals no
-registered code and it raises ``StaleCandidate``; and ``check_codes``
-validates each stored code before it canonicalises it.  That cache is the
-only memo of canonicalization that outlives an extraction:
-``canonical_form.cache_clear()``, which the benchmark calls before each
-round, starts it cold.
+canonical rows, and each mask pair moved onto those rows.  Each index
+keeps two tables in front of it (``enumeration.EnumState``): ``codes_of``
+holds which codes a raw reading gave, and ``codes_of_shape`` which codes
+a canonical reading, the bare shape with its masks moved onto the
+canonical rows, gave.  So registration asks this cache for a bare
+fragment once per raw reading, and for a mask pair once per canonical
+reading, of an index.  A bare fragment's miss sorts its positions by
+invariant and, when some of them tie, looks the sorted fragment up in the
+same cache, so the many position orders of one shape that a relabelled
+graph presents share one candidate search (McKay's canonical labelling
+refines by invariants first and searches only inside tied groups).  A miss
+does not validate the fragment, because no caller can pass an invalid one:
+the enumeration registers only weakly connected sets of a graph with no
+self-loops; ``extract_one`` compares the code of the set it re-reads with
+the chosen one, and a stale set that came apart has disconnected rows, so
+its code equals no registered code and it raises ``StaleCandidate``; and
+``check_codes`` validates each stored code before it canonicalises it.
+That cache is the only memo of canonicalization that outlives an
+extraction: ``canonical_form.cache_clear()``, which the benchmark calls
+before each round, starts it cold.
 """
 
 from __future__ import annotations

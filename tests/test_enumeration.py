@@ -14,7 +14,9 @@ from vrgc.enumeration import (
     extension_slack,
     update_after_extraction,
 )
+from vrgc.graphs import DiGraph
 from vrgc.mdl import analyze_set
+from vrgc.rules import canonical_code
 
 
 def test_config_validation():
@@ -160,6 +162,32 @@ def test_state_bookkeeping(demo6):
     assert [sorted(sets) for sets in state.by_node] == [
         [(0, 1)], [(0, 1), (1, 2), (1, 3)], [(1, 2), (2, 3)], [(1, 3), (2, 3), (3, 4)], [(3, 4)], []
     ]
+
+
+def test_shape_in_a_second_position_order_reuses_its_codes():
+    """A transitive triangle fed by two externals and feeding one has two
+    minimizing in-masks, so two codes.  A copy with its second and third
+    nodes swapped reads other rows and masks in sorted-id positions, so it
+    misses ``codes_of``; its masks, moved onto the canonical positions,
+    come out in the same order, so ``codes_of_shape`` answers it without a
+    mask-pair lookup, with the codes a fresh index gives it, in order."""
+    base = [(0, 1), (1, 2), (0, 2), (3, 0), (4, 1), (2, 5)]
+    label = [0, 2, 1, 3, 4, 5]
+    graph = DiGraph.from_edges(12, base + [(6 + label[u], 6 + label[v]) for u, v in base])
+    config = ExtractConfig(k_min=3, k_max=3, shortcut_s=None)
+    state = EnumState(graph, config)
+    state.register((0, 1, 2))
+    with mock.patch.object(
+        enumeration, "canonical_code", autospec=True, side_effect=canonical_code
+    ) as lookup:
+        state.register((6, 7, 8))
+    assert lookup.call_count == 0
+    assert len(state.codes_of) == 2
+    assert len(state.codes_of_shape) == 1
+    fresh = EnumState(graph, config)
+    fresh.register((6, 7, 8))
+    assert len(fresh.entries[(6, 7, 8)].codes) == 2
+    assert state.entries[(6, 7, 8)].codes == fresh.entries[(6, 7, 8)].codes
 
 
 def test_incremental_update_matches_scratch(demo6):
