@@ -33,9 +33,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import _BITS, DiGraph
+from .graphs import DiGraph
 from .mdl import analyze_set
-from .rules import K_HARD_MAX, RuleLibrary, canonical_code, canonical_form
+from .rules import K_HARD_MAX, RuleLibrary, canonical_code, canonical_form, relabel, relabel_table
 
 INFINITE_COST = math.inf
 
@@ -189,17 +189,13 @@ class EnumState:
         shape that carry the same masks share one pair loop, and the codes
         are those of the raw fields, in the same order, since a canonical
         code is the same for every relabelling of a rule, masks included,
-        and the masks keep their raw order in the key.  The orders also
-        share the candidate search of the bare fragment:
-        ``canonical_form`` relabels a bare fragment into invariant order
-        and looks the sorted key up, so the orders that sort to one key
-        search it once.  Nothing is validated (see the ``rules`` module
-        docstring).  Both tables live as long as the index, so clearing
-        the ``lru_cache``s of ``rules.canonical_form`` and
-        ``mdl._side_minima`` (as the benchmark does before each round)
-        starts each extraction's registration cold; only
-        ``mdl._mask_costs``, at most one cost vector per pattern and size,
-        and ``mdl.default_params`` stay warm.
+        and the masks keep their raw order in the key.  Nothing is
+        validated (see the ``rules`` module docstring).  Both tables live
+        as long as the index, so clearing the ``lru_cache``s of
+        ``rules.canonical_form`` and ``mdl._side_minima`` (as the
+        benchmark does before each round) starts each extraction's
+        registration cold; only ``mdl._mask_costs``, at most one cost
+        vector per pattern and size, and ``mdl.default_params`` stay warm.
         """
         for v in nodes:
             self.by_node[v].append(nodes)
@@ -210,11 +206,9 @@ class EnumState:
         if codes is None:
             k = len(nodes)
             shape, perm = canonical_form(k, adj, 0, 0)
-            bit = [0] * k
-            for new, old in enumerate(perm):
-                bit[old] = 1 << new
-            ins = tuple([sum([bit[j] for j in _BITS[m]]) for m in analysis.i_masks])
-            outs = tuple([sum([bit[j] for j in _BITS[m]]) for m in analysis.o_masks])
+            bit = relabel_table(perm)
+            ins = tuple([relabel(m, bit) for m in analysis.i_masks])
+            outs = tuple([relabel(m, bit) for m in analysis.o_masks])
             canonical = (shape, ins, outs)
             codes = self.codes_of_shape.get(canonical)
             if codes is None:

@@ -215,7 +215,8 @@ def parse_edge_list(text: str) -> DiGraph:
     """Parse whitespace-separated ``src dst`` lines into a graph.
 
     Lines starting with ``#`` are ignored, duplicate edges are deduplicated,
-    and self-loops are rejected with a line-numbered diagnostic.
+    and self-loops are rejected with a line-numbered diagnostic.  A text
+    with no edge line is rejected too: it names no node.
     """
     edges: set[tuple[int, int]] = set()
     max_id = -1
@@ -236,4 +237,6 @@ def parse_edge_list(text: str) -> DiGraph:
             raise GraphError(f"line {lineno}: self-loop {u}->{v} rejected")
         edges.add((u, v))
         max_id = max(max_id, u, v)
+    if not edges:
+        raise ValueError("no edge line in the edge list")
     return DiGraph.from_edges(max_id + 1, edges)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
-from .graphs import DiGraph
+from .graphs import _BITS, DiGraph
 
 
 def ceil_log2(x: int) -> int:
@@ -152,9 +152,7 @@ def boundary_edits(
         for external, pat in sorted(pats.items()):
             rewire = pat ^ mask
             flips = pat if pat.bit_count() <= rewire.bit_count() else rewire
-            edits.extend(
-                (p, external, direction) for p in range(len(analysis.adj)) if flips >> p & 1
-            )
+            edits.extend((p, external, direction) for p in _BITS[flips])
     return edits
 
 

@@ -15,25 +15,16 @@ It is the one check of a stored code: ``engine.replay`` passes a code's
 rows and masks straight to ``DiGraph.expand``, which trusts them.
 
 Canonical codes are computed on the fields ``(k, adj, i_mask, o_mask)``
-and memoized in ``canonical_form``'s ``lru_cache`` under that tuple, so a
-repeated lookup allocates nothing.  Registration keys it by shape: the
-bare fragment ``(k, adj, 0, 0)``, whose code gives the fragment's
-canonical rows, and each mask pair moved onto those rows.  Each index
-keeps two tables in front of it (``enumeration.EnumState``): ``codes_of``
-holds which codes a raw reading gave, and ``codes_of_shape`` which codes
-a canonical reading, the bare shape with its masks moved onto the
-canonical rows, gave.  So registration asks this cache for a bare
-fragment once per raw reading, and for a mask pair once per canonical
-reading, of an index.  A bare fragment's miss sorts its positions by
-invariant and, when some of them tie, looks the sorted fragment up in the
-same cache, so the many position orders of one shape that a relabelled
-graph presents share one candidate search (McKay's canonical labelling
-refines by invariants first and searches only inside tied groups).  A miss
-does not validate the fragment, because no caller can pass an invalid one:
-the enumeration registers only weakly connected sets of a graph with no
-self-loops; ``extract_one`` compares the code of the set it re-reads with
-the chosen one, and a stale set that came apart has disconnected rows, so
-its code equals no registered code and it raises ``StaleCandidate``; and
+and memoized in ``canonical_form``'s ``lru_cache`` under that tuple, so
+a repeated lookup allocates nothing; ``vrgc.enumeration`` describes the
+tables registration keeps in front of it.  The search refines positions
+by invariants first and tries only the arrangements inside tied groups,
+as McKay's canonical labelling does.  A miss does not validate the
+fragment, because no caller can pass an invalid one: the enumeration
+registers only weakly connected sets of a graph with no self-loops;
+``extract_one`` compares the code of the set it re-reads with the chosen
+one, and a stale set that came apart has disconnected rows, so its code
+equals no registered code and it raises ``StaleCandidate``; and
 ``check_codes`` validates each stored code before it canonicalises it.
 That cache is the only memo of canonicalization that outlives an
 extraction: ``canonical_form.cache_clear()``, which the benchmark calls
@@ -44,6 +35,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+
+from .graphs import _BITS
 
 K_HARD_MAX = 8
 
@@ -67,17 +60,34 @@ def _invariant_order(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int):
         for v, row in enumerate(adj)
     ]
     for row in adj:
-        while row:
-            low = row & -row
-            invariant[low.bit_length() - 1] += 1
-            row ^= low
+        for j in _BITS[row]:
+            invariant[j] += 1
     return invariant, sorted(range(k), key=invariant.__getitem__)
 
 
-def _candidate_perms(invariant: list[int], order: list[int]):
-    """Permutations compatible with the invariant-sorted position order.
+# A permutation of fragment positions is a tuple ``perm`` with
+# ``perm[new] = old``: new position ``new`` holds old position ``old``.
 
-    Returns an iterable of tuples ``perm`` with ``perm[new_pos] = old_pos``.
+
+def relabel_table(perm) -> list[int]:
+    """``bit[old] = 1 << new``: the new place of each old position."""
+    bit = [0] * len(perm)
+    for new, old in enumerate(perm):
+        bit[old] = 1 << new
+    return bit
+
+
+def relabel(x: int, bit: list[int]) -> int:
+    """A row or mask ``x`` moved onto the new positions of ``bit``."""
+    acc = 0
+    for j in _BITS[x]:
+        acc |= bit[j]
+    return acc
+
+
+def _candidate_perms(invariant: list[int], order: list[int]):
+    """The permutations compatible with the invariant-sorted position order.
+
     Only permutations within equal-invariant groups can alter the
     serialization, so the search is the product of within-group
     arrangements of ``order``, each group in its order there.
@@ -89,23 +99,6 @@ def _candidate_perms(invariant: list[int], order: list[int]):
     )
 
 
-def _relabel_rows(adj: tuple[int, ...], perm) -> tuple[int, ...]:
-    """The rows of ``adj`` with new position ``n`` holding old position
-    ``perm[n]``."""
-    bit = [0] * len(perm)
-    for new, old in enumerate(perm):
-        bit[old] = 1 << new
-    rows = []
-    for old in perm:
-        row, acc = adj[old], 0
-        while row:
-            low = row & -row
-            acc |= bit[low.bit_length() - 1]
-            row ^= low
-        rows.append(acc)
-    return tuple(rows)
-
-
 @lru_cache(maxsize=1 << 18)
 def canonical_form(
     k: int, adj: tuple[int, ...], i_mask: int, o_mask: int
@@ -115,11 +108,11 @@ def canonical_form(
     The code is identical for all relabelings of the fragment (including
     masks): its rows are the lexicographically smallest over the candidate
     permutations, and on a tie the first candidate wins.  The permutation
-    maps canonical positions to the fragment's original positions
-    (``perm[new] = old``).  The cache key is the plain ``(k, adj, i_mask,
-    o_mask)`` tuple.  The fields are not validated (see the module
-    docstring): bits must lie inside ``k``, and only a weakly connected
-    fragment without self-loops gets the code of a rule.
+    maps canonical positions to the fragment's original positions.  The
+    cache key is the plain ``(k, adj, i_mask, o_mask)`` tuple.  The fields
+    are not validated (see the module docstring): bits must lie inside
+    ``k``, and only a weakly connected fragment without self-loops gets
+    the code of a rule.
 
     A bare fragment (both masks 0) whose invariants tie and whose
     positions are not already in invariant order is relabelled into that
@@ -137,24 +130,18 @@ def canonical_form(
     if len(set(invariant)) == k:
         candidates = (tuple(order),)
     elif not (i_mask or o_mask) and order != list(range(k)):
-        code, perm = canonical_form(k, _relabel_rows(adj, order), 0, 0)
+        bit = relabel_table(order)
+        code, perm = canonical_form(k, tuple([relabel(adj[old], bit) for old in order]), 0, 0)
         return code, tuple([order[q] for q in perm])
     else:
         candidates = _candidate_perms(invariant, order)
     best_rows = best_perm = None
     for perm in candidates:
-        bit = [0] * k
-        for new, old in enumerate(perm):
-            bit[old] = 1 << new
+        bit = relabel_table(perm)
         rows = []
         tied = best_rows is not None
         for p, old in enumerate(perm):
-            row = adj[old]
-            acc = 0
-            while row:
-                low = row & -row
-                acc |= bit[low.bit_length() - 1]
-                row ^= low
+            acc = relabel(adj[old], bit)
             if tied:
                 if acc > best_rows[p]:
                     break
@@ -163,16 +150,8 @@ def canonical_form(
         else:
             if not tied:
                 best_rows, best_perm = rows, perm
-    i_new, o_new = relabel_mask(i_mask, best_perm), relabel_mask(o_mask, best_perm)
-    return bytes((k, i_new, o_new, *best_rows)), best_perm
-
-
-def relabel_mask(mask: int, perm: tuple[int, ...]) -> int:
-    """``mask`` moved onto the positions of ``perm`` (``perm[new] = old``)."""
-    out = 0
-    for new, old in enumerate(perm):
-        out |= (mask >> old & 1) << new
-    return out
+    bit = relabel_table(best_perm)
+    return bytes((k, relabel(i_mask, bit), relabel(o_mask, bit), *best_rows)), best_perm
 
 
 def canonical_code(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> bytes:
@@ -182,17 +161,13 @@ def canonical_code(k: int, adj: tuple[int, ...], i_mask: int, o_mask: int) -> by
 def _weakly_connected(rows: bytes) -> bool:
     und = list(rows)
     for i, row in enumerate(rows):
-        while row:
-            low = row & -row
-            und[low.bit_length() - 1] |= 1 << i
-            row ^= low
+        for j in _BITS[row]:
+            und[j] |= 1 << i
     seen = frontier = 1
     while frontier:
         nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= und[low.bit_length() - 1]
-            frontier ^= low
+        for j in _BITS[frontier]:
+            nxt |= und[j]
         frontier = nxt & ~seen
         seen |= nxt
     return seen == (1 << len(rows)) - 1
@@ -230,8 +205,7 @@ def check_codes(codes: list[bytes]) -> None:
 
 def code_edges(code: bytes) -> list[tuple[int, int]]:
     """The edges ``(i, j)`` a code stores, row by row, then column by column."""
-    k = code[0]
-    return [(i, j) for i, row in enumerate(code[3:]) for j in range(k) if row >> j & 1]
+    return [(i, j) for i, row in enumerate(code[3:]) for j in _BITS[row]]
 
 
 # -- library ---------------------------------------------------------------

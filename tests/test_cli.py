@@ -79,6 +79,21 @@ def test_unreadable_input_exits_1(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "Permission denied" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["", "# comments only\n\n  # indented\n"], ids=["empty", "comments_only"]
+)
+def test_input_without_edges_exits_1(tmp_path, capsys, text):
+    """An edge list with no edge line is bad input: ``error:``, exit 1,
+    no traceback, and nothing written."""
+    edges = tmp_path / "none.edges"
+    edges.write_text(text)
+    out = tmp_path / "out"
+    assert main(["extract", "--input", str(edges), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no edge line" in err
+    assert not out.exists()
+
+
 def test_bad_config_exits_2(tmp_path):
     edges = write_demo(tmp_path)
     assert main(["extract", "--input", str(edges), "--kmax", "9", "--out", str(tmp_path)]) == 2

@@ -87,6 +87,13 @@ def test_zero_records_decode_identity():
     assert res.account.compressed_bits == res.account.original_bits
 
 
+def test_extract_refuses_a_graph_with_no_nodes():
+    """The edge-list parser rejects a file with no edge, so only an API
+    caller can pass a graph of no nodes."""
+    with pytest.raises(enumeration.ConfigInvalid, match="empty graph"):
+        extract(DiGraph(0), ExtractConfig())
+
+
 def test_monotone_shrinkage(demo6):
     res = extract(demo6, ExtractConfig(k_min=2, k_max=3))
     sizes = [demo6.num_nodes()]

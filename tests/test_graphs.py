@@ -154,3 +154,6 @@ def test_parse_edge_list_errors():
         parse_edge_list("a b\n")
     with pytest.raises(ValueError, match="line 1: expected 'src dst', got '0 1 # edge'"):
         parse_edge_list("0 1 # edge\n")
+    for text in ("", "# no edges\n\n"):
+        with pytest.raises(ValueError, match="no edge line"):
+            parse_edge_list(text)

@@ -12,6 +12,8 @@ from vrgc.rules import (
     canonical_form,
     check_codes,
     code_edges,
+    relabel,
+    relabel_table,
     rule_to_dot,
 )
 
@@ -58,6 +60,22 @@ def permute(rule, perm):
         return sum(1 << new_of[v] for v in range(k) if m >> v & 1)
 
     return k, tuple(new_adj), mask(i_mask), mask(o_mask)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+def test_relabel_matches_permute(k):
+    """``relabel`` moves every mask and every row as ``permute`` does: over
+    random permutations, each ``x < 2**k`` as both masks and as the first
+    row, the other rows random."""
+    rng = random.Random(k)
+    for _ in range(4):
+        perm = tuple(rng.sample(range(k), k))
+        bit = relabel_table(perm)
+        for x in range(1 << k):
+            adj = (x, *(rng.randrange(1 << k) for _ in range(k - 1)))
+            _, rows, i_mask, o_mask = permute((k, adj, x, x), perm)
+            assert relabel(x, bit) == i_mask == o_mask
+            assert tuple(relabel(adj[old], bit) for old in perm) == rows
 
 
 def orbit(rule):
@@ -206,8 +224,12 @@ def test_canonical_form_matches_reference_on_symmetric_fragments(k):
         (bytes((2, 0, 0, 4, 0)), "adjacency bits outside"),
         (bytes((2, 0b100, 0, 2, 0)), "mask bits outside"),
         (bytes((3, 0, 0, 2, 4)), "row count"),
+        (bytes((8, 0, 0, 2, 4, 8, 0, 32, 64, 128, 0)), "weakly connected"),  # two 4-node paths
     ],
-    ids=["disconnected", "isolated_node", "self_loop", "adjacency_bit", "mask_bit", "row_count"],
+    ids=[
+        "disconnected", "isolated_node", "self_loop", "adjacency_bit", "mask_bit", "row_count",
+        "two_paths",
+    ],
 )
 def test_check_codes_rejects_invalid_fragments(code, message):
     """Codes are validated where they enter: ``canonical_form`` trusts its
@@ -215,6 +237,17 @@ def test_check_codes_rejects_invalid_fragments(code, message):
     it is canonicalised."""
     with pytest.raises(RuleError, match=message):
         check_codes([code])
+
+
+def test_check_codes_accepts_a_scrambled_path():
+    """An 8-node path in scrambled positions.  Its canonical code puts the
+    sink at position 0, so weak connectivity walks back along the path in
+    seven frontier rounds, and the code passes."""
+    order = (5, 2, 7, 0, 3, 6, 1, 4)  # order[i] -> order[i + 1] is an edge
+    adj = [0] * 8
+    for u, v in zip(order, order[1:]):
+        adj[u] |= 1 << v
+    check_codes([canonical_code(8, tuple(adj), 0, 0)])
 
 
 def test_canonical_rule_is_stable():
